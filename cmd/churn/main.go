@@ -1,17 +1,17 @@
-// Command churn exercises the online control plane through its unified
-// operations API: a Poisson stream of tenant arrivals, departures, injected
-// replica failures, host maintenance drains, and whole-machine crashes over
-// tens of hosts, all in one deterministic simulation. Every mutation is a
-// typed Op submitted through ControlPlane.Apply; the placement invariants
-// are re-audited once per completed top-level operation, keyed off the
-// event stream; and the run ends with a strict lockstep audit of every
-// surviving guest plus a digest of the append-only operations log — byte-
-// identical across runs with the same seed.
+// Command churn is a preset front-end over the scenario interpreter: its
+// flags describe an open-loop fleet — a Poisson stream of tenant arrivals
+// and departures, injected replica failures, host maintenance drains and
+// whole-machine crashes over tens of hosts — which it translates into a
+// scenario.Scenario, runs with scenario.Run, and reports. Every top-level
+// operation is placement-audited, every surviving tenant gets a strict
+// lockstep audit at the end, and the op-log digest is byte-identical
+// across runs with the same seed. scenarios/churn.yaml is the same preset
+// as a scenario file: `stopwatch-sim run scenarios/churn.yaml`.
 //
 // With -autodetect the injected machine crashes are data-plane kills only:
-// no FailHost call anywhere. The control plane's stall detector notices the
-// dead VMM through missed proposal deadlines and drives the whole
-// fail → reconfigure → evacuate pipeline itself.
+// the control plane's stall detector notices each dead VMM through missed
+// proposal deadlines and drives the whole fail → reconfigure → evacuate
+// pipeline itself.
 //
 // Usage:
 //
@@ -21,25 +21,15 @@
 package main
 
 import (
-	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math"
 	"os"
-	"sort"
 
-	"stopwatch/internal/controlplane"
-	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
-	"stopwatch/internal/metrics"
-	"stopwatch/internal/netsim"
-	"stopwatch/internal/obsrv"
-	"stopwatch/internal/placement"
+	"stopwatch"
 	"stopwatch/internal/profiling"
-	"stopwatch/internal/sim"
-	"stopwatch/internal/vtime"
+	"stopwatch/internal/scenario"
 )
 
 func main() {
@@ -49,196 +39,56 @@ func main() {
 	}
 }
 
-// options parameterizes one churn scenario.
+// options is one churn run: the translated scenario plus the flags that
+// only concern this process.
 type options struct {
-	hosts       int
-	capacity    int
-	duration    float64
-	arrivalRate float64
-	meanLife    float64
-	failures    int
-	drains      int
-	crashes     int
-	autodetect  bool
-	pingEvery   float64
-	seed        uint64
-	shards      int
-	cpuprofile  string
-	memprofile  string
-	listen      string
-	metricsOut  string
-	loadAware   bool
-	ckptInstr   int64
-	migrate     bool
+	sc                     *scenario.Scenario
+	seed                   uint64
+	cpuprofile, memprofile string
+	listen, metricsOut     string
 }
 
 func parse(args []string) (options, error) {
 	fs := flag.NewFlagSet("churn", flag.ContinueOnError)
 	o := options{}
-	fs.IntVar(&o.hosts, "hosts", 24, "machines in the cloud")
-	fs.IntVar(&o.capacity, "capacity", 4, "replicas per machine (placement capacity c)")
-	fs.Float64Var(&o.duration, "duration", 30, "scenario length (simulated seconds)")
-	fs.Float64Var(&o.arrivalRate, "arrival-rate", 2.5, "tenant arrivals per second (Poisson)")
-	fs.Float64Var(&o.meanLife, "mean-lifetime", 8, "mean tenant lifetime (seconds, exponential)")
-	fs.IntVar(&o.failures, "failures", 4, "replica failures to inject")
-	fs.IntVar(&o.drains, "drains", 2, "host maintenance drains to inject (evacuate, later re-admit)")
-	fs.IntVar(&o.crashes, "crashes", 1, "whole-machine VMM crashes to inject (fail, reconfigure, evacuate, repair)")
-	fs.BoolVar(&o.autodetect, "autodetect", false, "kill crashed machines at the data plane only; the stall detector submits the FailOp")
-	fs.Float64Var(&o.pingEvery, "ping-interval", 0.25, "client ping period per resident guest (seconds)")
+	f := scenario.Fleet{Guests: []scenario.GuestSpec{{Name: "tenant", App: scenario.AppSpec{Kind: "tenant", Sink: "churn-sink"}}}}
+	a := &scenario.Arrivals{Guest: "tenant", From: "churn-client"}
+	var duration, life, ping float64
+	fs.IntVar(&f.Machines, "hosts", 24, "machines in the cloud")
+	fs.IntVar(&f.Capacity, "capacity", 4, "replicas per machine (placement capacity c)")
+	fs.Float64Var(&duration, "duration", 30, "scenario length (simulated seconds)")
+	fs.Float64Var(&a.Rate, "arrival-rate", 2.5, "tenant arrivals per second (Poisson)")
+	fs.Float64Var(&life, "mean-lifetime", 8, "mean tenant lifetime (seconds, exponential)")
+	fs.IntVar(&a.Failures, "failures", 4, "replica failures to inject")
+	fs.IntVar(&a.Drains, "drains", 2, "host maintenance drains to inject (evacuate, later re-admit)")
+	fs.IntVar(&a.Crashes, "crashes", 1, "whole-machine VMM crashes to inject (fail, reconfigure, evacuate, repair)")
+	fs.BoolVar(&f.StallDetector, "autodetect", false, "kill crashed machines at the data plane only; the stall detector submits the FailOp")
+	fs.Float64Var(&ping, "ping-interval", 0.25, "client ping period per resident guest (seconds)")
 	fs.Uint64Var(&o.seed, "seed", 1, "master seed")
-	fs.IntVar(&o.shards, "shards", 1, "fabric shards (parallel simulation loops; the op-log digest is identical for every value)")
+	fs.IntVar(&f.Shards, "shards", 1, "fabric shards (parallel simulation loops; the op-log digest is identical for every value)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write an end-of-run heap profile to this file")
 	fs.StringVar(&o.listen, "listen", "", "serve /metrics, /metrics.json, /ops and /ops/stream on this loopback address (e.g. 127.0.0.1:8080; empty = off)")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the end-of-run metrics snapshot as canonical JSON to this file")
-	fs.BoolVar(&o.loadAware, "load-aware", false, "telemetry-driven admission: score and gate hosts by live Dom0 disk backlog (changes placement, and with it the op-log digest)")
-	fs.Int64Var(&o.ckptInstr, "checkpoint-interval", 0, "instructions between journal checkpoints (multiple of the VMM exit quantum; 0 = off; bounds replacement replay without changing the op-log digest)")
-	fs.BoolVar(&o.migrate, "migrate", false, "planned migration: turn infeasible admissions and re-homes into one-move MigrateOp plans (changes placement, and with it the op-log digest)")
+	fs.BoolVar(&f.LoadAware, "load-aware", false, "telemetry-driven admission: score and gate hosts by live Dom0 disk backlog (changes placement, and with it the op-log digest)")
+	fs.Int64Var(&f.CheckpointInstr, "checkpoint-interval", 0, "instructions between journal checkpoints (multiple of the VMM exit quantum; 0 = off; bounds replacement replay without changing the op-log digest)")
+	fs.BoolVar(&f.PlannedMigration, "migrate", false, "planned migration: turn infeasible admissions and re-homes into one-move MigrateOp plans (changes placement, and with it the op-log digest)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if o.hosts < 5 || o.duration <= 2 || o.arrivalRate <= 0 || o.meanLife <= 0 {
+	if f.Machines < 5 || duration <= 2 || a.Rate <= 0 || life <= 0 {
 		return o, fmt.Errorf("implausible scenario: hosts=%d duration=%v rate=%v life=%v",
-			o.hosts, o.duration, o.arrivalRate, o.meanLife)
+			f.Machines, duration, a.Rate, life)
 	}
-	if o.shards < 1 {
-		return o, fmt.Errorf("shards must be >= 1, got %d", o.shards)
+	a.LifetimeMS, a.PingMS = life*1000, ping*1000
+	o.sc = &scenario.Scenario{
+		Name:       "churn",
+		DurationMS: int64(math.Round(duration * 1000)),
+		Seeds:      []uint64{o.seed},
+		Fleet:      f,
+		Arrivals:   a,
 	}
-	if o.ckptInstr < 0 {
-		return o, fmt.Errorf("checkpoint-interval must be >= 0, got %d", o.ckptInstr)
-	}
-	return o, nil
-}
-
-// tenantApp is the guests' workload: periodic compute+disk+send bursts and
-// an echo for every client ping, both gated on a virtual-time deadline so
-// all replicas quiesce identically before the final lockstep audit.
-type tenantApp struct {
-	period   vtime.Virtual
-	deadline vtime.Virtual
-	sink     netsim.Addr
-
-	bursts int64
-	echoes int64
-}
-
-var _ guest.App = (*tenantApp)(nil)
-
-func (a *tenantApp) Boot(ctx guest.Ctx) { ctx.SetTimer(0, "burst") }
-
-func (a *tenantApp) OnTimer(ctx guest.Ctx, tag string) {
-	if tag != "burst" || ctx.Clock().Now() >= a.deadline {
-		return
-	}
-	a.bursts++
-	ctx.Compute(400_000)
-	if a.bursts%4 == 0 {
-		ctx.DiskRead("t", 16<<10)
-	}
-	ctx.Send(a.sink, 200, a.bursts)
-	ctx.SetTimer(a.period, "burst")
-}
-
-func (a *tenantApp) OnPacket(ctx guest.Ctx, p guest.Payload) {
-	if ctx.Clock().Now() >= a.deadline {
-		return
-	}
-	a.echoes++
-	ctx.Compute(50_000)
-	ctx.Send(p.Src, 128, a.echoes)
-}
-
-func (a *tenantApp) OnDiskDone(ctx guest.Ctx, d guest.DiskDone) {}
-
-// SnapshotAppend/RestoreSnapshot implement guest.Snapshotter: the mutable
-// state is just the two counters (period, deadline and sink are rebuilt
-// identically by the factory), so checkpointed journals can truncate and a
-// replacement can restore instead of replaying the tenant's whole lifetime.
-func (a *tenantApp) SnapshotAppend(buf []byte) []byte {
-	buf = binary.AppendVarint(buf, a.bursts)
-	return binary.AppendVarint(buf, a.echoes)
-}
-
-func (a *tenantApp) RestoreSnapshot(data []byte) error {
-	bursts, n := binary.Varint(data)
-	if n <= 0 {
-		return fmt.Errorf("tenant snapshot: bad bursts varint")
-	}
-	echoes, m := binary.Varint(data[n:])
-	if m <= 0 || n+m != len(data) {
-		return fmt.Errorf("tenant snapshot: bad echoes varint")
-	}
-	a.bursts, a.echoes = bursts, echoes
-	return nil
-}
-
-var _ guest.Snapshotter = (*tenantApp)(nil)
-
-// scenario holds the run's mutable driver state.
-type scenario struct {
-	o   options
-	c   *core.Cluster
-	cp  *controlplane.ControlPlane
-	rng *sim.Rand
-	out io.Writer
-
-	trafficEnd sim.Time // pings and beacons stop here; drain follows
-	end        sim.Time
-
-	resident []string // sorted ids, the deterministic iteration order
-	nextID   int
-
-	// outcomes
-	placementViolations int
-	opsAudited          int
-	failuresInjected    int
-	replacementErrs     []error
-	prefixErrs          []error
-	echoesReceived      int
-	// infeasible counts replacement and evacuation attempts the packing
-	// could not place (ErrNoFeasibleHost): an expected outcome of a
-	// saturated pool, skipped gracefully rather than reported as failures.
-	infeasible int
-	// drain/maintenance outcomes
-	drainsStarted, drainsDone int
-	drainErrs                 []error
-	// whole-machine crash outcomes
-	crashesStarted, crashesDone int
-	crashErrs                   []error
-	// checkpoint telemetry folded over evicted guests' journals; report()
-	// adds the end-of-run residents
-	ckpts, truncRecs int
-	truncBytes       int64
-}
-
-// frozenSlots returns the slots of g's replicas whose guest execution is
-// halted — crashed, or frozen by a move that was then abandoned (e.g. no
-// non-conflicting capacity). Such a guest serves degraded on its live
-// replicas, and audits must exclude the frozen ones, which necessarily
-// trail. Reading the runtimes directly (instead of bookkeeping updated at
-// operation completion) closes the window where a replica is already
-// frozen but its lifecycle operation has not yet reported back.
-func frozenSlots(g *core.Guest) []int {
-	var slots []int
-	for _, r := range g.Replicas() {
-		if r.Runtime().Stopped() {
-			slots = append(slots, r.Slot())
-		}
-	}
-	return slots
-}
-
-// auditLockstep checks the guest's replica agreement: frozen replicas are
-// excluded and flagged as degraded; strict escalates fully-live guests to
-// the exact digest+count check (the end-of-run audit).
-func auditLockstep(g *core.Guest, strict bool) (degraded bool, err error) {
-	if dead := frozenSlots(g); len(dead) > 0 {
-		return true, g.CheckLockstepPrefixExcluding(dead...)
-	}
-	if strict {
-		return false, g.CheckLockstep()
-	}
-	return false, g.CheckLockstepPrefix()
+	return o, o.sc.Validate()
 }
 
 func run(args []string, out io.Writer) error {
@@ -255,609 +105,80 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "profile:", perr)
 		}
 	}()
-	ccfg := core.DefaultClusterConfig()
-	ccfg.Seed = o.seed
-	ccfg.Hosts = o.hosts
-	ccfg.Shards = o.shards
-	ccfg.VMM.CheckpointInstr = o.ckptInstr
-	c, err := core.New(ccfg)
-	if err != nil {
-		return err
-	}
-	cp, err := controlplane.New(c, controlplane.DefaultConfig(o.capacity))
-	if err != nil {
-		return err
-	}
-	s := &scenario{
-		o:          o,
-		c:          c,
-		cp:         cp,
-		rng:        c.Source().Stream("churn-driver"),
-		out:        out,
-		trafficEnd: sim.FromSeconds(o.duration - 2),
-		end:        sim.FromSeconds(o.duration),
-	}
-	// Observability plane: one registry fed by both planes, optionally
-	// served over localhost HTTP and/or dumped as canonical JSON at the
-	// end. Instrumentation observes the run (Watch events, passive
-	// data-plane hooks, snapshot-time gauges) without perturbing it: the
-	// op-log digest is byte-identical with and without these flags.
-	var reg *metrics.Registry
-	var srv *obsrv.Server
-	if o.listen != "" || o.metricsOut != "" {
-		reg = metrics.NewRegistry()
-		cp.InstrumentMetrics(reg)
-		c.InstrumentMetrics(reg)
-	}
+	f := &o.sc.Fleet
+	// Observing the run never perturbs it: the op-log digest is identical
+	// with and without -listen and -metrics-out.
 	if o.listen != "" {
-		srv = obsrv.New()
-		srv.Attach(cp, reg)
-		if err := srv.Start(o.listen); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "observability: serving http://%s/{metrics,metrics.json,ops,ops/stream}\n", srv.Addr())
+		fmt.Fprintf(out, "observability: serving http://%s/{metrics,metrics.json,ops,ops/stream} during the run\n", o.listen)
 	}
-	// Telemetry-driven admission is opt-in precisely because it changes
-	// placement — and with it the pinned digests.
-	if o.loadAware {
-		budget := cp.EnableLoadAwareAdmission(controlplane.LoadAwareConfig{})
-		fmt.Fprintf(out, "load-aware admission: on (false-alarm budget %v)\n", budget)
+	// Load-aware admission and planned migration change placement, and
+	// with it the pinned digests, so both are opt-in.
+	if f.LoadAware {
+		fmt.Fprintln(out, "load-aware admission: on")
 	}
-	// Planned migration is opt-in for the same reason: a one-move plan
-	// changes placement, and with it the pinned digests.
-	if o.migrate {
-		cp.EnablePlannedMigration()
+	if f.PlannedMigration {
 		fmt.Fprintln(out, "planned migration: on")
 	}
-	// One placement audit per completed top-level operation, keyed off the
-	// event stream — instead of scattering Verify calls through every
-	// injection path (which used to audit the evacuate path twice). Child
-	// moves (Parent != 0) are covered by their parent's completion audit.
-	cp.Watch(func(ev controlplane.Event) {
-		if ev.Parent != 0 || (ev.Kind != controlplane.OpCompleted && ev.Kind != controlplane.OpFailed) {
-			return
-		}
-		s.opsAudited++
-		s.verify(ev.Op.String())
-	})
-	if o.autodetect {
-		// The detector turns missed proposal deadlines into FailOps and
-		// chains the evacuation; the driver only watches for the evacuation
-		// outcome (accounting + repair scheduling below).
-		if err := cp.EnableStallDetector(0); err != nil {
-			return err
-		}
-		cp.Watch(func(ev controlplane.Event) {
-			op, ok := ev.Op.(controlplane.EvacuateOp)
-			if !ok || (ev.Kind != controlplane.OpCompleted && ev.Kind != controlplane.OpFailed) {
-				return
-			}
-			oc, _ := cp.Outcome(ev.Seq)
-			s.evacuationFinished(op.Machine, oc)
-		})
-	}
-	// The clients' and beacons' counterparties.
-	if err := c.Net().Attach(&netsim.FuncNode{Addr: "churn-client", Fn: func(p *netsim.Packet) {
-		if p.Kind == "guest:data" {
-			s.echoesReceived++
-		}
-	}}); err != nil {
+	res, err := scenario.Run(o.sc, scenario.Options{Seed: o.seed, Listen: o.listen})
+	if err != nil {
 		return err
 	}
-	if err := c.Net().Attach(&netsim.FuncNode{Addr: "churn-sink", Fn: func(p *netsim.Packet) {}}); err != nil {
-		return err
-	}
-
-	c.Start()
-	s.scheduleArrival()
-	s.scheduleFailures()
-	s.scheduleDrains()
-	s.scheduleCrashes()
-	s.schedulePings()
-	if err := c.Run(s.end); err != nil {
-		return err
-	}
-	if reg != nil {
-		// Final snapshot: gauge funcs evaluate end-of-run pool and host
-		// state on the (now idle) sim thread.
-		if srv != nil {
-			srv.Publish(reg)
-		}
-		if o.metricsOut != "" {
-			if err := os.WriteFile(o.metricsOut, []byte(reg.JSON()), 0o644); err != nil {
-				return fmt.Errorf("write metrics snapshot: %w", err)
-			}
+	if o.metricsOut != "" {
+		if err := os.WriteFile(o.metricsOut, []byte(res.Metrics), 0o644); err != nil {
+			return fmt.Errorf("write metrics snapshot: %w", err)
 		}
 	}
-	return s.report()
+	report(out, o, res)
+	if !res.Passed() {
+		return fmt.Errorf("%d defects: %s", len(res.Failures), res.Failures[0])
+	}
+	return nil
 }
 
-func (s *scenario) verify(when string) {
-	if err := s.cp.Verify(); err != nil {
-		s.placementViolations++
-		fmt.Fprintf(s.out, "PLACEMENT VIOLATION (%s at %v): %v\n", when, s.c.Loop().Now(), err)
-	}
-}
-
-func (s *scenario) addResident(id string) {
-	s.resident = append(s.resident, id)
-	sort.Strings(s.resident)
-}
-
-func (s *scenario) dropResident(id string) {
-	for i, have := range s.resident {
-		if have == id {
-			s.resident = append(s.resident[:i], s.resident[i+1:]...)
-			return
-		}
-	}
-}
-
-func (s *scenario) scheduleArrival() {
-	d := s.rng.ExpDur(sim.FromSeconds(1 / s.o.arrivalRate))
-	at := s.c.Loop().Now() + d
-	if at >= s.trafficEnd {
-		return
-	}
-	s.c.Loop().At(at, "churn:arrival", func() {
-		s.arrive()
-		s.scheduleArrival()
-	})
-}
-
-func (s *scenario) arrive() {
-	id := fmt.Sprintf("tenant-%03d", s.nextID)
-	s.nextID++
-	// Periods vary deterministically per tenant: 4..11 ms.
-	period := vtime.Virtual((4 + s.nextID%8)) * vtime.Virtual(sim.Millisecond)
-	deadline := vtime.Virtual(s.trafficEnd)
-	factory := func() guest.App {
-		return &tenantApp{period: period, deadline: deadline, sink: "churn-sink"}
-	}
-	// Success is handled in Done: without -migrate it fires synchronously
-	// inside Apply (same draw order as ever), but a planner-unblocked
-	// admission finishes only after its child migration completes.
-	s.cp.Apply(controlplane.AdmitOp{GuestID: id, Factory: factory, Done: func(oc *controlplane.Outcome) {
-		if oc.Err != nil {
-			return // rejection is a logged, expected outcome
-		}
-		s.addResident(id)
-		// Departure after an exponential lifetime, inside the traffic window.
-		life := s.rng.ExpDur(sim.FromSeconds(s.o.meanLife))
-		depart := s.c.Loop().Now() + life
-		if depart < s.trafficEnd {
-			s.c.Loop().At(depart, "churn:departure", func() { s.depart(id) })
-		}
-	}})
-}
-
-func (s *scenario) depart(id string) {
-	g, ok := s.c.Guest(id)
-	if !ok {
-		return
-	}
-	// A replacement mid-barrier blocks eviction AND would poison the exit
-	// audit (the dead replica's frozen output count drags the common
-	// prefix): come back when the lifecycle is quiet.
-	if _, busy := s.cp.InFlight(id); busy {
-		s.c.Loop().After(500*sim.Millisecond, "churn:departure", func() { s.depart(id) })
-		return
-	}
-	// Exit audit: a degraded guest (abandoned replacement or evacuation)
-	// is checked on its live replicas only.
-	if _, err := auditLockstep(g, false); err != nil {
-		s.prefixErrs = append(s.prefixErrs, err)
-	}
-	// Eviction releases the journal: fold its checkpoint telemetry first.
-	js := g.JournalStats()
-	if oc := s.cp.Apply(controlplane.EvictOp{GuestID: id}); oc.Err != nil {
-		// Raced a lifecycle op that started this instant: retry shortly.
-		s.c.Loop().After(500*sim.Millisecond, "churn:departure", func() { s.depart(id) })
-		return
-	}
-	s.ckpts += js.Checkpoints
-	s.truncRecs += js.TruncatedRecords
-	s.truncBytes += js.TruncatedBytes
-	s.dropResident(id)
-}
-
-func (s *scenario) scheduleFailures() {
-	if s.o.failures <= 0 {
-		return
-	}
-	// Spread failures across the middle of the traffic window so each
-	// replacement has room to finish and the guest keeps serving after.
-	lo, hi := s.trafficEnd/5, s.trafficEnd*7/10
-	times := make([]sim.Time, s.o.failures)
-	for i := range times {
-		times[i] = lo + s.rng.UniformDur(0, hi-lo)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	for _, at := range times {
-		s.c.Loop().At(at, "churn:failure", func() { s.fail() })
-	}
-}
-
-func (s *scenario) fail() {
-	// Victim: a random resident guest with no lifecycle op in flight.
-	if len(s.resident) == 0 {
-		s.c.Loop().After(sim.Second, "churn:failure", func() { s.fail() })
-		return
-	}
-	id := s.resident[s.rng.Intn(len(s.resident))]
-	g, ok := s.c.Guest(id)
-	if !ok || g.Replaced > 0 {
-		s.c.Loop().After(sim.Second, "churn:failure", func() { s.fail() })
-		return
-	}
-	// Don't crash a guest whose lifecycle is mid-operation (a rejected
-	// replacement request would leave the replica dead with no recovery),
-	// or one already degraded by a frozen replica.
-	_, busy := s.cp.InFlight(id)
-	if busy || len(frozenSlots(g)) > 0 {
-		s.c.Loop().After(sim.Second, "churn:failure", func() { s.fail() })
-		return
-	}
-	victim := g.Replica(s.rng.Intn(g.NumReplicas()))
-	deadHost := victim.Host()
-	victim.Runtime().Stop() // the crash
-	s.failuresInjected++
-	s.cp.Apply(controlplane.ReplaceOp{GuestID: id, DeadHost: deadHost, Done: func(oc *controlplane.Outcome) {
-		if oc.Err != nil {
-			s.replacementAbandoned(id, oc.Err)
-		}
-	}})
-}
-
-// unjoin flattens an errors.Join result into its members (or the error
-// itself when it is not a join).
-func unjoin(err error) []error {
-	if u, ok := err.(interface{ Unwrap() []error }); ok {
-		return u.Unwrap()
-	}
-	return []error{err}
-}
-
-// replacementAbandoned records a replacement that could not complete: the
-// guest degrades to its live pair (its frozen replica is excluded from
-// audits via frozenSlots). An infeasible packing (ErrNoFeasibleHost,
-// expected at high utilization) is counted and skipped; anything else is a
-// real error.
-func (s *scenario) replacementAbandoned(id string, err error) {
-	if errors.Is(err, placement.ErrNoFeasibleHost) {
-		s.infeasible++
-		return
-	}
-	s.replacementErrs = append(s.replacementErrs, fmt.Errorf("%s: %w", id, err))
-}
-
-func (s *scenario) scheduleDrains() {
-	if s.o.drains <= 0 {
-		return
-	}
-	// Like failures, spread maintenance over the middle of the traffic
-	// window so every evacuation and re-admission completes inside the run.
-	lo, hi := s.trafficEnd/4, s.trafficEnd*3/5
-	times := make([]sim.Time, s.o.drains)
-	for i := range times {
-		times[i] = lo + s.rng.UniformDur(0, hi-lo)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	for _, at := range times {
-		s.c.Loop().At(at, "churn:drain", func() { s.drain() })
-	}
-}
-
-// drain takes a random live machine down for maintenance: capacity out of
-// the pool, every resident evacuated through child ReplaceOps of one
-// DrainOp, and the machine re-admitted after an exponential maintenance
-// window.
-func (s *scenario) drain() {
-	var candidates []int
-	for m := 0; m < s.o.hosts; m++ {
-		if !s.cp.Pool().Drained(m) {
-			candidates = append(candidates, m)
-		}
-	}
-	// Keep a placement-viable cloud: draining below 5 machines would leave
-	// replacements nowhere to go at all.
-	if len(candidates) <= 5 {
-		return
-	}
-	m := candidates[s.rng.Intn(len(candidates))]
-	s.drainsStarted++
-	s.cp.Apply(controlplane.DrainOp{Machine: m, Done: func(oc *controlplane.Outcome) {
-		s.drainsDone++
-		if oc.Err != nil {
-			// The drain outcome joins the per-resident move errors: classify
-			// each member, not the join — an infeasible packing (expected,
-			// skipped; the guest serves degraded with its frozen replica
-			// excluded by frozenSlots) must not mask a genuine failure
-			// alongside it.
-			for _, sub := range unjoin(oc.Err) {
-				if errors.Is(sub, placement.ErrNoFeasibleHost) {
-					s.infeasible++
-				} else {
-					s.drainErrs = append(s.drainErrs, fmt.Errorf("drain host %d: %w", m, sub))
-				}
-			}
-		}
-		// Evacuated guests must still be in lockstep right after the move.
-		for _, id := range oc.Guests {
-			g, ok := s.c.Guest(id)
-			if !ok {
-				continue
-			}
-			if _, aerr := auditLockstep(g, false); aerr != nil {
-				s.prefixErrs = append(s.prefixErrs, aerr)
-			}
-		}
-		if oc.Rejected() {
-			return // capacity never left the pool; nothing to undrain
-		}
-		// Maintenance done: the machine's capacity returns to the pool.
-		s.c.Loop().After(s.rng.ExpDur(2*sim.Second), "churn:undrain", func() {
-			if oc := s.cp.Apply(controlplane.UndrainOp{Machine: m}); oc.Err != nil {
-				s.drainErrs = append(s.drainErrs, fmt.Errorf("undrain host %d: %w", m, oc.Err))
-			}
-		})
-	}})
-}
-
-func (s *scenario) scheduleCrashes() {
-	if s.o.crashes <= 0 {
-		return
-	}
-	// Crashes land in the middle of the traffic window, like failures and
-	// drains, so every reconfiguration, evacuation and repair completes
-	// inside the run.
-	lo, hi := s.trafficEnd/4, s.trafficEnd*3/5
-	times := make([]sim.Time, s.o.crashes)
-	for i := range times {
-		times[i] = lo + s.rng.UniformDur(0, hi-lo)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	for _, at := range times {
-		s.c.Loop().At(at, "churn:crash", func() { s.crash() })
-	}
-}
-
-// crash kills a random live machine outright (its VMM dies). In scripted
-// mode the driver submits the FailOp and EvacuateOp itself; in -autodetect
-// mode the kill is data-plane only and the control plane's stall detector
-// drives the fail → reconfigure → evacuate pipeline. Either way the machine
-// is repaired (rejoining the pool) after an exponential reboot window.
-func (s *scenario) crash() {
-	// Candidates: undrained, unfailed machines with residents, none of them
-	// mid-lifecycle; prefer machines hosting >= 2 guests so the crash
-	// exercises a real multi-tenant evacuation.
-	var candidates, rich []int
-	undrained := 0
-	for m := 0; m < s.o.hosts; m++ {
-		if s.cp.Pool().Drained(m) || s.cp.Failed(m) || s.c.Host(m).Failed() {
-			continue
-		}
-		undrained++
-		residents := s.cp.Pool().Residents(m)
-		if len(residents) == 0 {
-			continue
-		}
-		busy := false
-		for _, id := range residents {
-			if _, b := s.cp.InFlight(id); b {
-				busy = true
-				break
-			}
-		}
-		if busy {
-			continue
-		}
-		candidates = append(candidates, m)
-		if len(residents) >= 2 {
-			rich = append(rich, m)
-		}
-	}
-	// Keep a placement-viable cloud, like drains do.
-	if undrained <= 5 || len(candidates) == 0 {
-		s.c.Loop().After(sim.Second, "churn:crash", func() { s.crash() })
-		return
-	}
-	pick := candidates
-	if len(rich) > 0 {
-		pick = rich
-	}
-	m := pick[s.rng.Intn(len(pick))]
-	s.crashesStarted++
-	if s.o.autodetect {
-		// Data-plane kill only: no FailOp is scripted anywhere. The stall
-		// detector will notice the silent VMM through missed proposal
-		// deadlines, auto-fail the machine and chain the evacuation; the
-		// driver's watch subscription picks the outcome up in
-		// evacuationFinished.
-		if err := s.c.FailMachine(m); err != nil {
-			s.crashesDone++
-			s.crashErrs = append(s.crashErrs, fmt.Errorf("kill host %d: %w", m, err))
-		}
-		return
-	}
-	if oc := s.cp.Apply(controlplane.FailOp{Machine: m}); oc.Rejected() {
-		s.crashesDone++
-		s.crashErrs = append(s.crashErrs, fmt.Errorf("fail host %d: %w", m, oc.Err))
-		return
-	}
-	oc := s.cp.Apply(controlplane.EvacuateOp{Machine: m, Done: func(oc *controlplane.Outcome) {
-		s.evacuationFinished(m, oc)
-	}})
-	if oc.Rejected() {
-		s.crashesDone++
-		s.crashErrs = append(s.crashErrs, fmt.Errorf("evacuate failed host %d: %w", m, oc.Err))
-	}
-}
-
-// evacuationFinished handles a crashed machine's completed evacuation —
-// whether the driver submitted it (scripted mode) or the detector pipeline
-// did (-autodetect): classify the joined move errors, audit the affected
-// guests, and schedule the repair.
-func (s *scenario) evacuationFinished(m int, oc *controlplane.Outcome) {
-	s.crashesDone++
-	if oc.Err != nil {
-		// Classify each joined member like drains do: an infeasible packing
-		// is expected and skipped (the guest serves degraded on its live
-		// pair); anything else is a real error.
-		for _, sub := range unjoin(oc.Err) {
-			if errors.Is(sub, placement.ErrNoFeasibleHost) {
-				s.infeasible++
-			} else {
-				s.crashErrs = append(s.crashErrs, fmt.Errorf("evacuate failed host %d: %w", m, sub))
-			}
-		}
-	}
-	// Every evacuated guest is back in lockstep right after its move.
-	for _, id := range oc.Guests {
-		g, ok := s.c.Guest(id)
-		if !ok {
-			continue
-		}
-		if _, aerr := auditLockstep(g, false); aerr != nil {
-			s.prefixErrs = append(s.prefixErrs, aerr)
-		}
-	}
-	// Reboot done: the machine rejoins the pool — unless a degraded guest
-	// is still stuck on it (infeasible move under a saturated packing), in
-	// which case it stays failed; a RepairOp would rightly refuse.
-	s.c.Loop().After(s.rng.ExpDur(2*sim.Second), "churn:repair", func() {
-		if len(s.cp.Pool().Residents(m)) > 0 {
-			return
-		}
-		if oc := s.cp.Apply(controlplane.RepairOp{Machine: m}); oc.Err != nil {
-			s.crashErrs = append(s.crashErrs, fmt.Errorf("repair host %d: %w", m, oc.Err))
-		}
-	})
-}
-
-func (s *scenario) schedulePings() {
-	var tick func()
-	tick = func() {
-		if s.c.Loop().Now() >= s.trafficEnd {
-			return
-		}
-		for _, id := range s.resident {
-			s.c.Net().Send(&netsim.Packet{
-				Src: "churn-client", Dst: core.ServiceAddr(id), Size: 200, Kind: "ping",
-			})
-		}
-		s.c.Loop().After(s.rng.ExpDur(sim.FromSeconds(s.o.pingEvery)), "churn:ping", tick)
-	}
-	s.c.Loop().After(100*sim.Millisecond, "churn:ping", tick)
-}
-
-func (s *scenario) report() error {
-	log := s.cp.Log()
-	st := controlplane.FoldStats(log)
-	lockstepOK, lockstepBad, degradedOK := 0, 0, 0
-	divergences := 0
-	var firstBad error
-	for _, id := range s.resident {
-		g, ok := s.c.Guest(id)
-		if !ok {
-			continue
-		}
-		// A degraded guest (abandoned replacement or evacuation) is audited
-		// on its live replicas; the frozen ones necessarily trail.
-		degraded, err := auditLockstep(g, true)
-		switch {
-		case err != nil:
-			lockstepBad++
-			if firstBad == nil {
-				firstBad = err
-			}
-		case degraded:
-			degradedOK++
-		default:
-			lockstepOK++
-		}
-		divergences += g.Divergences()
-	}
+func report(out io.Writer, o options, res *scenario.Result) {
+	f, st, t := &o.sc.Fleet, res.Stats, res.Tally
 	offered := st.Admitted + st.Rejected
 	admissionRate := 0.0
 	if offered > 0 {
 		admissionRate = float64(st.Admitted) / float64(offered)
 	}
-	byKind := map[controlplane.OpKind]int{}
+	byKind := map[string]int{}
 	detected := 0
-	for _, oc := range log {
-		byKind[oc.Op.Kind()]++
-		if f, ok := oc.Op.(controlplane.FailOp); ok && f.Detected {
+	for _, oc := range res.Log {
+		byKind[oc.Op.Kind().String()]++
+		if fop, ok := oc.Op.(stopwatch.FailOp); ok && fop.Detected {
 			detected++
 		}
 	}
-	digest := fnv.New64a()
-	_, _ = digest.Write([]byte(controlplane.FormatLog(log)))
-	fmt.Fprintf(s.out, "churn scenario: %d hosts, capacity %d, %.0fs, seed %d, autodetect=%v\n",
-		s.o.hosts, s.o.capacity, s.o.duration, s.o.seed, s.o.autodetect)
-	fmt.Fprintf(s.out, "  offered %d tenants: admitted=%d rejected=%d (admission rate %.2f)\n",
+	fmt.Fprintf(out, "churn scenario: %d hosts, capacity %d, %.0fs, seed %d, autodetect=%v\n",
+		f.Machines, f.Capacity, float64(o.sc.DurationMS)/1000, res.Seed, f.StallDetector)
+	fmt.Fprintf(out, "  offered %d tenants: admitted=%d rejected=%d (admission rate %.2f)\n",
 		offered, st.Admitted, st.Rejected, admissionRate)
-	fmt.Fprintf(s.out, "  evicted=%d resident-at-end=%d final-utilization=%.2f\n",
-		st.Evicted, s.cp.Residents(), s.cp.Utilization())
+	fmt.Fprintf(out, "  evicted=%d resident-at-end=%d final-utilization=%.2f\n", st.Evicted, t.Residents, t.Utilization)
 	// Evacuation moves (drain and crash) also count in Stats.Replacements;
 	// subtract them so this line reports failure recoveries only.
-	fmt.Fprintf(s.out, "  failures injected=%d replaced=%d replacement-failures=%d infeasible-skipped=%d drain-retries=%d\n",
-		s.failuresInjected, st.Replacements-st.Evacuations-st.CrashEvacuations, len(s.replacementErrs), s.infeasible, st.DrainRetries)
-	fmt.Fprintf(s.out, "  maintenance: drains=%d/%d evacuated=%d evacuation-failures=%d drain-errors=%d\n",
-		s.drainsDone, s.drainsStarted, st.Evacuations, st.EvacuationFailures, len(s.drainErrs))
-	fmt.Fprintf(s.out, "  host crashes: crashes=%d/%d auto-detected=%d crash-evacuated=%d crash-evacuation-failures=%d crash-errors=%d\n",
-		s.crashesDone, s.crashesStarted, detected, st.CrashEvacuations, st.CrashEvacuationFailures, len(s.crashErrs))
-	fmt.Fprintf(s.out, "  ops: total=%d admits=%d evicts=%d replaces=%d drains=%d undrains=%d fails=%d evacuates=%d repairs=%d audited=%d\n",
-		len(log), byKind[controlplane.KindAdmit], byKind[controlplane.KindEvict], byKind[controlplane.KindReplace],
-		byKind[controlplane.KindDrain], byKind[controlplane.KindUndrain], byKind[controlplane.KindFail],
-		byKind[controlplane.KindEvacuate], byKind[controlplane.KindRepair], s.opsAudited)
-	if s.o.ckptInstr > 0 {
-		// Fold in the guests still resident at the end; evicted ones were
-		// folded at departure.
-		ckpts, truncRecs, truncBytes := s.ckpts, s.truncRecs, s.truncBytes
-		for _, id := range s.resident {
-			if g, ok := s.c.Guest(id); ok {
-				js := g.JournalStats()
-				ckpts += js.Checkpoints
-				truncRecs += js.TruncatedRecords
-				truncBytes += js.TruncatedBytes
-			}
-		}
-		fmt.Fprintf(s.out, "  checkpointing: interval=%d checkpoints=%d truncated-records=%d truncated-bytes=%d\n",
-			s.o.ckptInstr, ckpts, truncRecs, truncBytes)
+	fmt.Fprintf(out, "  failures injected=%d replaced=%d replacement-failures=%d infeasible-skipped=%d drain-retries=%d\n",
+		t.ReplicaKills, st.Replacements-st.Evacuations-st.CrashEvacuations, t.ReplaceErrs, t.Infeasible, st.DrainRetries)
+	fmt.Fprintf(out, "  maintenance: drains=%d/%d evacuated=%d evacuation-failures=%d drain-errors=%d\n",
+		t.DrainsDone, t.Drains, st.Evacuations, st.EvacuationFailures, t.DrainErrs)
+	fmt.Fprintf(out, "  host crashes: crashes=%d/%d auto-detected=%d crash-evacuated=%d crash-evacuation-failures=%d crash-errors=%d\n",
+		t.CrashesDone, t.Crashes, detected, st.CrashEvacuations, st.CrashEvacuationFailures, t.CrashErrs)
+	fmt.Fprintf(out, "  ops: total=%d admits=%d evicts=%d replaces=%d drains=%d undrains=%d fails=%d evacuates=%d repairs=%d audited=%d\n",
+		len(res.Log), byKind["admit"], byKind["evict"], byKind["replace"], byKind["drain"], byKind["undrain"],
+		byKind["fail"], byKind["evacuate"], byKind["repair"], t.Audited)
+	if f.CheckpointInstr > 0 {
+		fmt.Fprintf(out, "  checkpointing: interval=%d checkpoints=%d truncated-records=%d truncated-bytes=%d\n",
+			f.CheckpointInstr, t.Checkpoints, t.TruncatedRecords, t.TruncatedBytes)
 	}
-	if s.o.migrate {
-		fmt.Fprintf(s.out, "  migration: planned=%d completed=%d failed=%d\n",
+	if f.PlannedMigration {
+		fmt.Fprintf(out, "  migration: planned=%d completed=%d failed=%d\n",
 			st.MigrationsPlanned, st.Migrations, st.MigrationFailures)
 	}
-	fmt.Fprintf(s.out, "  op-log: digest=%016x\n", digest.Sum64())
-	fmt.Fprintf(s.out, "  placement: every top-level outcome audited, violations=%d\n", s.placementViolations)
-	fmt.Fprintf(s.out, "  lockstep: ok=%d degraded-ok=%d diverged=%d prefix-errors=%d divergences=%d echoes=%d egress-stuck=%d\n",
-		lockstepOK, degradedOK, lockstepBad, len(s.prefixErrs), divergences, s.echoesReceived, s.c.Egress().StuckBelowForward())
-	for _, err := range s.replacementErrs {
-		fmt.Fprintf(s.out, "  replacement error: %v\n", err)
+	fmt.Fprintf(out, "  op-log: digest=%s\n", res.Digest)
+	fmt.Fprintf(out, "  placement: every top-level outcome audited, violations=%d\n", t.Violations)
+	fmt.Fprintf(out, "  lockstep: ok=%d degraded-ok=%d diverged=%d prefix-errors=%d divergences=%d echoes=%d egress-stuck=%d\n",
+		t.Lockstep, t.Degraded, t.Diverged, t.PrefixErrs, t.Divergences, t.Echoes, t.EgressStuck)
+	for _, msg := range res.Failures {
+		fmt.Fprintf(out, "  defect: %s\n", msg)
 	}
-	for _, err := range s.drainErrs {
-		fmt.Fprintf(s.out, "  drain error: %v\n", err)
-	}
-	for _, err := range s.crashErrs {
-		fmt.Fprintf(s.out, "  crash error: %v\n", err)
-	}
-	if s.placementViolations > 0 {
-		return fmt.Errorf("%d placement violations", s.placementViolations)
-	}
-	if lockstepBad > 0 {
-		return fmt.Errorf("%d guests ended out of lockstep: %v", lockstepBad, firstBad)
-	}
-	if len(s.prefixErrs) > 0 {
-		return fmt.Errorf("%d mid-run lockstep prefix failures: %v", len(s.prefixErrs), s.prefixErrs[0])
-	}
-	if len(s.drainErrs) > 0 {
-		return fmt.Errorf("%d drain errors: %v", len(s.drainErrs), s.drainErrs[0])
-	}
-	if len(s.crashErrs) > 0 {
-		return fmt.Errorf("%d crash errors: %v", len(s.crashErrs), s.crashErrs[0])
-	}
-	return nil
 }

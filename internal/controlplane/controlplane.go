@@ -4,14 +4,10 @@
 //
 // Every mutation is one value of the typed Op sum — AdmitOp, EvictOp,
 // ReplaceOp, DrainOp, UndrainOp, FailOp, EvacuateOp, RepairOp, MigrateOp —
-// submitted
-// through the single entry point Apply, which returns a structured Outcome
-// (typed result, per-phase barrier timings, affected guests, pool deltas),
-// appends it to the operations log (Log), and streams progress to Watch
-// subscribers. Stats is a pure fold over the log. The verb methods (Admit,
-// Evict, ReplaceReplica, DrainHost, UndrainHost, FailHost,
-// EvacuateFailedHost, RepairHost) are thin wrappers over Apply kept for
-// call-site convenience.
+// submitted through the single entry point Apply, which returns a
+// structured Outcome (typed result, per-phase barrier timings, affected
+// guests, pool deltas), appends it to the operations log (Log), and streams
+// progress to Watch subscribers. Stats is a pure fold over the log.
 //
 // The data plane (cluster, VMMs, gateways) stays mechanism; every policy
 // decision — which triangle, which replacement host, when a switchover is
@@ -24,7 +20,6 @@ import (
 	"fmt"
 
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
 	"stopwatch/internal/placement"
 	"stopwatch/internal/sim"
 )
@@ -402,39 +397,6 @@ func (cp *ControlPlane) applyReplace(op ReplaceOp, oc *Outcome) {
 		cp.apply(mig, oc.Seq)
 	}
 	cp.c.Loop().After(cp.cfg.DrainWindow, "cp:drain", barrier)
-}
-
-// Admit is the verb wrapper over Apply(AdmitOp): it places and deploys a
-// new guest, returning the deployed guest and triangle, or ErrRejected
-// (check with errors.Is) when the pool has no capacity.
-func (cp *ControlPlane) Admit(id string, factory func() guest.App) (*core.Guest, placement.Triangle, error) {
-	oc := cp.Apply(AdmitOp{GuestID: id, Factory: factory})
-	return oc.Guest, oc.Triangle, oc.Err
-}
-
-// Evict is the verb wrapper over Apply(EvictOp).
-func (cp *ControlPlane) Evict(id string) error {
-	return cp.Apply(EvictOp{GuestID: id}).Err
-}
-
-// ReplaceReplica is the verb wrapper over Apply(ReplaceOp): it initiates
-// the asynchronous replacement of guest id's replica on deadHost. A
-// validation rejection is returned synchronously; otherwise onDone
-// (optional) fires with the barrier's outcome.
-func (cp *ControlPlane) ReplaceReplica(id string, deadHost int, onDone func(error)) error {
-	op := ReplaceOp{GuestID: id, DeadHost: deadHost}
-	op.Done = func(oc *Outcome) {
-		if oc.Rejected() {
-			return // reported synchronously below
-		}
-		if onDone != nil {
-			onDone(oc.Err)
-		}
-	}
-	if oc := cp.Apply(op); oc.Rejected() {
-		return oc.Err
-	}
-	return nil
 }
 
 // Verify checks the control plane's placement invariants (edge-disjoint

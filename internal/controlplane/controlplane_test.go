@@ -43,7 +43,7 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 	var resident []string
 	for i := 0; ; i++ {
 		id := fmt.Sprintf("g%d", i)
-		_, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(5*sim.Millisecond)))
+		err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err
 		if errors.Is(err, ErrRejected) {
 			break
 		}
@@ -64,7 +64,7 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 	// Evict half, readmit: the freed edges must be reusable.
 	evicted := 0
 	for i := 0; i < len(resident); i += 2 {
-		if err := cp.Evict(resident[i]); err != nil {
+		if err := cp.Apply(EvictOp{GuestID: resident[i]}).Err; err != nil {
 			t.Fatal(err)
 		}
 		evicted++
@@ -75,7 +75,7 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 	readmitted := 0
 	for i := 0; i < evicted; i++ {
 		id := fmt.Sprintf("re%d", i)
-		if _, _, err := cp.Admit(id, beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: id, Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 			if errors.Is(err, ErrRejected) {
 				break
 			}
@@ -98,13 +98,13 @@ func TestAdmitEvictReadmitPreservesInvariants(t *testing.T) {
 func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 	cp := newTestPlane(t, 9, 3, 5)
 	c := cp.Cluster()
-	if _, _, err := cp.Admit("early", beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "early", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	// Admitted mid-run: must boot immediately and reach lockstep.
 	c.Loop().At(200*sim.Millisecond, "admit", func() {
-		if _, _, err := cp.Admit("late", beaconFactory(vtime.Virtual(4*sim.Millisecond))); err != nil {
+		if err := cp.Apply(AdmitOp{GuestID: "late", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,7 +114,7 @@ func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 		if err := g.CheckLockstepPrefix(); err != nil {
 			t.Errorf("pre-evict lockstep: %v", err)
 		}
-		if err := cp.Evict("early"); err != nil {
+		if err := cp.Apply(EvictOp{GuestID: "early"}).Err; err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -142,7 +142,8 @@ func TestOnlineAdmissionBootsIntoRunningCluster(t *testing.T) {
 func TestReplaceReplicaProtocol(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 7)
 	c := cp.Cluster()
-	g, tri, err := cp.Admit("web", beaconFactory(vtime.Virtual(3*sim.Millisecond)))
+	oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(3 * sim.Millisecond))})
+	g, tri, err := oc.Guest, oc.Triangle, oc.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +157,14 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 	doneAt := sim.Time(-1)
 	c.Loop().At(300*sim.Millisecond, "fail", func() {
 		g.Replica(deadRT).Runtime().Stop() // crash the replica
-		if err := cp.ReplaceReplica("web", deadHost, func(err error) {
-			result = err
+		if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: deadHost, Done: func(res *Outcome) {
+			result = res.Err
 			doneAt = c.Loop().Now()
-		}); err != nil {
-			t.Fatal(err)
+		}}); oc.Rejected() {
+			t.Fatal(oc.Err)
 		}
 		// Lifecycle exclusivity while the replacement is in flight.
-		if err := cp.Evict("web"); err == nil {
+		if err := cp.Apply(EvictOp{GuestID: "web"}).Err; err == nil {
 			t.Error("evict during replacement should fail")
 		}
 	})
@@ -195,7 +196,7 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The guest survives eviction after replacement (wiring fully sane).
-	if err := cp.Evict("web"); err != nil {
+	if err := cp.Apply(EvictOp{GuestID: "web"}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Verify(); err != nil {
@@ -205,10 +206,10 @@ func TestReplaceReplicaProtocol(t *testing.T) {
 
 func TestReplaceReplicaValidation(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 9)
-	if err := cp.ReplaceReplica("ghost", 0, nil); err == nil {
+	if oc := cp.Apply(ReplaceOp{GuestID: "ghost", DeadHost: 0}); !oc.Rejected() {
 		t.Fatal("unknown guest accepted")
 	}
-	if _, _, err := cp.Admit("web", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	tri, _ := cp.Pool().Triangle("web")
@@ -219,7 +220,7 @@ func TestReplaceReplicaValidation(t *testing.T) {
 			break
 		}
 	}
-	if err := cp.ReplaceReplica("web", off, nil); err == nil {
+	if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: off}); !oc.Rejected() {
 		t.Fatal("replica on non-member host accepted")
 	}
 }
@@ -244,7 +245,8 @@ func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, tri, err := cp.Admit("web", beaconFactory(vtime.Virtual(4*sim.Millisecond)))
+	oc := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(4 * sim.Millisecond))})
+	g, tri, err := oc.Guest, oc.Triangle, oc.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +269,8 @@ func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 		}
 		slot, _ := g.SlotOnHost(tri[0])
 		g.Replica(slot).Runtime().Stop()
-		if err := cp.ReplaceReplica("web", tri[0], func(err error) { result, done = err, true }); err != nil {
-			t.Error(err)
+		if oc := cp.Apply(ReplaceOp{GuestID: "web", DeadHost: tri[0], Done: func(res *Outcome) { result, done = res.Err, true }}); oc.Rejected() {
+			t.Error(oc.Err)
 		}
 	})
 	if err := c.Run(5 * sim.Second); err != nil {
@@ -299,7 +301,7 @@ func TestReplaceReplicaRollbackRestoresPool(t *testing.T) {
 // (the exact state a failed rollback restore leaves) must fail Verify.
 func TestVerifyCatchesPoolClusterDivergence(t *testing.T) {
 	cp := newTestPlane(t, 7, 3, 69)
-	if _, _, err := cp.Admit("web", beaconFactory(vtime.Virtual(5*sim.Millisecond))); err != nil {
+	if err := cp.Apply(AdmitOp{GuestID: "web", Factory: beaconFactory(vtime.Virtual(5 * sim.Millisecond))}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Verify(); err != nil {

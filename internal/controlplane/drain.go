@@ -164,29 +164,5 @@ func (cp *ControlPlane) applyUndrain(op UndrainOp, oc *Outcome) {
 	cp.finish(oc, nil)
 }
 
-// DrainHost is the verb wrapper over Apply(DrainOp): a validation rejection
-// is returned synchronously; otherwise onDone (optional) fires once the
-// last resident has been processed, with the joined move errors.
-func (cp *ControlPlane) DrainHost(machine int, onDone func(error)) error {
-	op := DrainOp{Machine: machine}
-	op.Done = func(oc *Outcome) {
-		if oc.Rejected() {
-			return // reported synchronously below
-		}
-		if onDone != nil {
-			onDone(oc.Err)
-		}
-	}
-	if oc := cp.Apply(op); oc.Rejected() {
-		return oc.Err
-	}
-	return nil
-}
-
-// UndrainHost is the verb wrapper over Apply(UndrainOp).
-func (cp *ControlPlane) UndrainHost(machine int) error {
-	return cp.Apply(UndrainOp{Machine: machine}).Err
-}
-
 // Draining reports whether machine has an evacuation in progress.
 func (cp *ControlPlane) Draining(machine int) bool { return cp.draining[machine] }

@@ -166,23 +166,3 @@ func (cp *ControlPlane) admitAfterMigration(op AdmitOp, oc *Outcome, plan placem
 	}
 	cp.apply(mig, oc.Seq)
 }
-
-// Migrate is the verb wrapper over Apply(MigrateOp): it initiates the
-// asynchronous planned migration of guest id's replica from host `from` to
-// host `to`. A validation rejection is returned synchronously; otherwise
-// onDone (optional) fires with the barrier's outcome.
-func (cp *ControlPlane) Migrate(id string, from, to int, onDone func(error)) error {
-	op := MigrateOp{GuestID: id, From: from, To: to}
-	op.Done = func(oc *Outcome) {
-		if oc.Rejected() {
-			return // reported synchronously below
-		}
-		if onDone != nil {
-			onDone(oc.Err)
-		}
-	}
-	if oc := cp.Apply(op); oc.Rejected() {
-		return oc.Err
-	}
-	return nil
-}

@@ -1,6 +1,8 @@
 // Strict decoding from the parsed node tree into the Scenario schema:
 // every map is checked against its allowed key set, every scalar against
-// its expected type, and every error carries file:line provenance.
+// its expected type, and every error carries file:line provenance. The
+// decoder keeps the first error and turns every later read into a no-op,
+// so each section reads as a flat list of fields.
 
 package scenario
 
@@ -28,9 +30,9 @@ func Parse(path string, src []byte) (*Scenario, error) {
 		return nil, err
 	}
 	d := &dec{path: path}
-	sc, err := d.scenario(root)
-	if err != nil {
-		return nil, err
+	sc := d.scenario(root)
+	if d.err != nil {
+		return nil, d.err
 	}
 	sc.Path = path
 	return sc, nil
@@ -38,406 +40,340 @@ func Parse(path string, src []byte) (*Scenario, error) {
 
 type dec struct {
 	path string
+	err  error // the first defect; once set, every read is a no-op
 }
 
-func (d *dec) errf(line int, format string, args ...any) error {
-	return fmt.Errorf("%s:%d: %s", d.path, line, fmt.Sprintf(format, args...))
-}
-
-func (d *dec) wantMap(n *node, what string) error {
-	if n.kind != mapNode {
-		return d.errf(n.line, "%s must be a mapping", what)
+// fail records a defect unless an earlier one is already recorded.
+func (d *dec) fail(line int, format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%s:%d: %s", d.path, line, fmt.Sprintf(format, args...))
 	}
-	return nil
+}
+
+func (d *dec) isMap(n *node, what string) bool {
+	if n.kind != mapNode {
+		d.fail(n.line, "%s must be a mapping", what)
+		return false
+	}
+	return d.err == nil
 }
 
 // checkKeys rejects unknown keys, in file order.
-func (d *dec) checkKeys(n *node, what string, allowed ...string) error {
+func (d *dec) checkKeys(n *node, what string, allowed ...string) {
 	ok := map[string]bool{}
 	for _, k := range allowed {
 		ok[k] = true
 	}
 	for _, k := range n.keys {
 		if !ok[k] {
-			return d.errf(n.keyLine[k], "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
+			d.fail(n.keyLine[k], "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
+			return
 		}
 	}
-	return nil
 }
 
-func (d *dec) str(n *node, key string) (string, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return "", nil
+// val returns the key's value, or nil when it is absent or a defect is
+// already recorded.
+func (d *dec) val(n *node, key string) *node {
+	if d.err != nil {
+		return nil
+	}
+	return n.vals[key]
+}
+
+func (d *dec) str(n *node, key string) string {
+	v := d.val(n, key)
+	if v == nil {
+		return ""
 	}
 	if v.kind != scalarNode {
-		return "", d.errf(v.line, "%q must be a scalar", key)
+		d.fail(v.line, "%q must be a scalar", key)
 	}
-	return v.scalar, nil
+	return v.scalar
 }
 
-func (d *dec) intField(n *node, key string, def int64) (int64, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return def, nil
+func (d *dec) int64Field(n *node, key string, def int64) int64 {
+	v := d.val(n, key)
+	if v == nil {
+		return def
 	}
 	if v.kind != scalarNode || v.scalar == "" {
-		return 0, d.errf(v.line, "%q must be an integer", key)
+		d.fail(v.line, "%q must be an integer", key)
+		return 0
 	}
 	i, err := strconv.ParseInt(strings.ReplaceAll(v.scalar, "_", ""), 10, 64)
 	if err != nil {
-		return 0, d.errf(v.line, "%q must be an integer, got %q", key, v.scalar)
+		d.fail(v.line, "%q must be an integer, got %q", key, v.scalar)
 	}
-	return i, nil
+	return i
 }
 
-func (d *dec) floatField(n *node, key string, def float64) (float64, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return def, nil
+func (d *dec) intField(n *node, key string, def int) int {
+	return int(d.int64Field(n, key, int64(def)))
+}
+
+func (d *dec) floatField(n *node, key string, def float64) float64 {
+	v := d.val(n, key)
+	if v == nil {
+		return def
 	}
 	if v.kind != scalarNode || v.scalar == "" {
-		return 0, d.errf(v.line, "%q must be a number", key)
+		d.fail(v.line, "%q must be a number", key)
+		return 0
 	}
 	f, err := strconv.ParseFloat(v.scalar, 64)
 	if err != nil {
-		return 0, d.errf(v.line, "%q must be a number, got %q", key, v.scalar)
+		d.fail(v.line, "%q must be a number, got %q", key, v.scalar)
 	}
-	return f, nil
+	return f
 }
 
-func (d *dec) boolField(n *node, key string, def bool) (bool, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return def, nil
+func (d *dec) boolField(n *node, key string, def bool) bool {
+	v := d.val(n, key)
+	if v == nil {
+		return def
 	}
-	switch v.scalar {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
+	if v.scalar != "true" && v.scalar != "false" {
+		d.fail(v.line, "%q must be true or false, got %q", key, v.scalar)
 	}
-	return false, d.errf(v.line, "%q must be true or false, got %q", key, v.scalar)
+	return v.scalar == "true"
 }
 
 // optFloat returns a pointer for presence-sensitive bounds.
-func (d *dec) optFloat(n *node, key string) (*float64, error) {
-	if _, ok := n.vals[key]; !ok {
-		return nil, nil
+func (d *dec) optFloat(n *node, key string) *float64 {
+	if d.val(n, key) == nil {
+		return nil
 	}
-	f, err := d.floatField(n, key, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
+	f := d.floatField(n, key, 0)
+	return &f
 }
 
-func (d *dec) strList(n *node, key string) ([]string, error) {
-	v, ok := n.vals[key]
-	if !ok {
-		return nil, nil
+func (d *dec) strList(n *node, key string) []string {
+	v := d.val(n, key)
+	if v == nil {
+		return nil
 	}
 	if v.kind != seqNode {
-		return nil, d.errf(v.line, "%q must be a list", key)
+		d.fail(v.line, "%q must be a list", key)
+		return nil
 	}
 	var out []string
 	for _, item := range v.items {
 		if item.kind != scalarNode {
-			return nil, d.errf(item.line, "%q entries must be scalars", key)
+			d.fail(item.line, "%q entries must be scalars", key)
 		}
 		out = append(out, item.scalar)
 	}
-	return out, nil
+	return out
 }
 
-func (d *dec) scenario(root *node) (*Scenario, error) {
-	if err := d.wantMap(root, "scenario"); err != nil {
-		return nil, err
+// list returns the key's items, requiring a sequence.
+func (d *dec) list(n *node, key string) []*node {
+	v := d.val(n, key)
+	if v == nil {
+		return nil
 	}
-	if err := d.checkKeys(root, "scenario",
-		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "events", "assertions"); err != nil {
-		return nil, err
+	if v.kind != seqNode {
+		d.fail(v.line, "%s must be a list", key)
+		return nil
 	}
-	sc := &Scenario{}
-	var err error
-	if sc.Name, err = d.str(root, "name"); err != nil {
-		return nil, err
-	}
-	if sc.Description, err = d.str(root, "description"); err != nil {
-		return nil, err
-	}
-	if sc.DurationMS, err = d.intField(root, "duration_ms", 0); err != nil {
-		return nil, err
-	}
-	if sc.CI, err = d.boolField(root, "ci", false); err != nil {
-		return nil, err
-	}
-	seeds, err := d.strList(root, "seeds")
+	return v.items
+}
+
+// seed decodes a digest-pin key.
+func (d *dec) seed(n *node, k, what string) uint64 {
+	seed, err := strconv.ParseUint(k, 10, 64)
 	if err != nil {
-		return nil, err
+		d.fail(n.keyLine[k], "%s key must be a seed, got %q", what, k)
 	}
-	for _, s := range seeds {
-		u, perr := strconv.ParseUint(s, 10, 64)
-		if perr != nil || u == 0 {
-			return nil, d.errf(root.vals["seeds"].line, "seeds must be positive integers, got %q", s)
+	return seed
+}
+
+// digest checks a 16-hex-char pin.
+func (d *dec) digest(v *node, format string, args ...any) string {
+	if v.kind != scalarNode || len(v.scalar) != 16 {
+		d.fail(v.line, format, args...)
+	}
+	return v.scalar
+}
+
+func (d *dec) scenario(root *node) *Scenario {
+	sc := &Scenario{}
+	if !d.isMap(root, "scenario") {
+		return sc
+	}
+	d.checkKeys(root, "scenario",
+		"name", "description", "duration_ms", "seeds", "ci", "digests", "output_digests", "fleet", "arrivals",
+		"events", "assertions")
+	sc.Name = d.str(root, "name")
+	sc.Description = d.str(root, "description")
+	sc.DurationMS = d.int64Field(root, "duration_ms", 0)
+	sc.CI = d.boolField(root, "ci", false)
+	for _, s := range d.strList(root, "seeds") {
+		u, err := strconv.ParseUint(s, 10, 64)
+		if err != nil || u == 0 {
+			d.fail(root.vals["seeds"].line, "seeds must be positive integers, got %q", s)
 		}
 		sc.Seeds = append(sc.Seeds, u)
 	}
 	if len(sc.Seeds) == 0 {
 		sc.Seeds = []uint64{1}
 	}
-	if dg, ok := root.vals["digests"]; ok {
-		if err := d.wantMap(dg, "digests"); err != nil {
-			return nil, err
-		}
+	if dg := d.val(root, "digests"); dg != nil && d.isMap(dg, "digests") {
 		sc.Digests = map[uint64]string{}
 		for _, k := range dg.keys {
-			seed, perr := strconv.ParseUint(k, 10, 64)
-			if perr != nil {
-				return nil, d.errf(dg.keyLine[k], "digest key must be a seed, got %q", k)
-			}
-			v := dg.vals[k]
-			if v.kind != scalarNode || len(v.scalar) != 16 {
-				return nil, d.errf(v.line, "digest for seed %s must be 16 hex chars", k)
-			}
-			sc.Digests[seed] = v.scalar
+			seed := d.seed(dg, k, "digest")
+			sc.Digests[seed] = d.digest(dg.vals[k], "digest for seed %s must be 16 hex chars", k)
 		}
 	}
-	if od, ok := root.vals["output_digests"]; ok {
-		if err := d.wantMap(od, "output_digests"); err != nil {
-			return nil, err
-		}
+	if od := d.val(root, "output_digests"); od != nil && d.isMap(od, "output_digests") {
 		sc.OutputDigests = map[uint64]map[string]string{}
 		for _, k := range od.keys {
-			seed, perr := strconv.ParseUint(k, 10, 64)
-			if perr != nil {
-				return nil, d.errf(od.keyLine[k], "output_digests key must be a seed, got %q", k)
-			}
-			per := od.vals[k]
-			if err := d.wantMap(per, "output_digests seed "+k); err != nil {
-				return nil, err
+			seed, per := d.seed(od, k, "output_digests"), od.vals[k]
+			if !d.isMap(per, "output_digests seed "+k) {
+				break
 			}
 			byGuest := map[string]string{}
 			for _, g := range per.keys {
-				v := per.vals[g]
-				if v.kind != scalarNode || len(v.scalar) != 16 {
-					return nil, d.errf(v.line, "output digest for guest %q under seed %s must be 16 hex chars", g, k)
-				}
-				byGuest[g] = v.scalar
+				byGuest[g] = d.digest(per.vals[g], "output digest for guest %q under seed %s must be 16 hex chars", g, k)
 			}
 			sc.OutputDigests[seed] = byGuest
 		}
 	}
-	fl, ok := root.vals["fleet"]
-	if !ok {
-		return nil, d.errf(root.line, "missing fleet section")
+	fl := d.val(root, "fleet")
+	if fl == nil {
+		d.fail(root.line, "missing fleet section")
+		return sc
 	}
-	if sc.Fleet, err = d.fleet(fl); err != nil {
-		return nil, err
+	sc.Fleet = d.fleet(fl)
+	if ar := d.val(root, "arrivals"); ar != nil {
+		sc.Arrivals = d.arrivals(ar)
+		sc.Arrivals.Line = root.keyLine["arrivals"]
 	}
-	if ev, ok := root.vals["events"]; ok {
-		if ev.kind != seqNode {
-			return nil, d.errf(ev.line, "events must be a list")
-		}
-		for _, item := range ev.items {
-			e, err := d.event(item)
-			if err != nil {
-				return nil, err
-			}
-			sc.Events = append(sc.Events, e)
-		}
+	for _, item := range d.list(root, "events") {
+		sc.Events = append(sc.Events, d.event(item))
 	}
-	if as, ok := root.vals["assertions"]; ok {
-		if as.kind != seqNode {
-			return nil, d.errf(as.line, "assertions must be a list")
-		}
-		for _, item := range as.items {
-			a, err := d.assertion(item)
-			if err != nil {
-				return nil, err
-			}
-			sc.Assertions = append(sc.Assertions, a)
-		}
+	for _, item := range d.list(root, "assertions") {
+		sc.Assertions = append(sc.Assertions, d.assertion(item))
 	}
-	return sc, nil
+	return sc
 }
 
-func (d *dec) fleet(n *node) (Fleet, error) {
+func (d *dec) fleet(n *node) Fleet {
 	var f Fleet
-	if err := d.wantMap(n, "fleet"); err != nil {
-		return f, err
+	if !d.isMap(n, "fleet") {
+		return f
 	}
-	if err := d.checkKeys(n, "fleet",
+	d.checkKeys(n, "fleet",
 		"machines", "capacity", "shards", "checkpoint_instr", "stall_detector",
-		"planned_migration", "load_aware", "nodes", "guests"); err != nil {
-		return f, err
+		"planned_migration", "load_aware", "nodes", "guests")
+	f.Machines = d.intField(n, "machines", 0)
+	f.Capacity = d.intField(n, "capacity", 3)
+	f.Shards = d.intField(n, "shards", 1)
+	f.CheckpointInstr = d.int64Field(n, "checkpoint_instr", 0)
+	f.StallDetector = d.boolField(n, "stall_detector", false)
+	f.PlannedMigration = d.boolField(n, "planned_migration", false)
+	f.LoadAware = d.boolField(n, "load_aware", false)
+	f.Nodes = d.strList(n, "nodes")
+	if d.val(n, "guests") == nil {
+		d.fail(n.line, "fleet needs a guests list")
 	}
-	var err error
-	if v, e := d.intField(n, "machines", 0); e != nil {
-		return f, e
-	} else {
-		f.Machines = int(v)
+	for _, item := range d.list(n, "guests") {
+		f.Guests = append(f.Guests, d.guestSpec(item))
 	}
-	if v, e := d.intField(n, "capacity", 3); e != nil {
-		return f, e
-	} else {
-		f.Capacity = int(v)
-	}
-	if v, e := d.intField(n, "shards", 1); e != nil {
-		return f, e
-	} else {
-		f.Shards = int(v)
-	}
-	if f.CheckpointInstr, err = d.intField(n, "checkpoint_instr", 0); err != nil {
-		return f, err
-	}
-	if f.StallDetector, err = d.boolField(n, "stall_detector", false); err != nil {
-		return f, err
-	}
-	if f.PlannedMigration, err = d.boolField(n, "planned_migration", false); err != nil {
-		return f, err
-	}
-	if f.LoadAware, err = d.boolField(n, "load_aware", false); err != nil {
-		return f, err
-	}
-	if f.Nodes, err = d.strList(n, "nodes"); err != nil {
-		return f, err
-	}
-	gs, ok := n.vals["guests"]
-	if !ok {
-		return f, d.errf(n.line, "fleet needs a guests list")
-	}
-	if gs.kind != seqNode {
-		return f, d.errf(gs.line, "guests must be a list")
-	}
-	for _, item := range gs.items {
-		spec, err := d.guestSpec(item)
-		if err != nil {
-			return f, err
-		}
-		f.Guests = append(f.Guests, spec)
-	}
-	return f, nil
+	return f
 }
 
-func (d *dec) guestSpec(n *node) (GuestSpec, error) {
-	var g GuestSpec
-	if err := d.wantMap(n, "guest spec"); err != nil {
-		return g, err
+func (d *dec) guestSpec(n *node) GuestSpec {
+	g := GuestSpec{Line: n.line}
+	if !d.isMap(n, "guest spec") {
+		return g
 	}
-	if err := d.checkKeys(n, "guest spec", "name", "count", "app", "traffic"); err != nil {
-		return g, err
+	d.checkKeys(n, "guest spec", "name", "count", "app", "traffic")
+	if g.Name = d.str(n, "name"); g.Name == "" {
+		d.fail(n.line, "guest spec needs a name")
 	}
-	g.Line = n.line
-	var err error
-	if g.Name, err = d.str(n, "name"); err != nil {
-		return g, err
+	g.Count = d.intField(n, "count", 1)
+	app := d.val(n, "app")
+	if app == nil {
+		d.fail(n.line, "guest %q needs an app", g.Name)
+		return g
 	}
-	if g.Name == "" {
-		return g, d.errf(n.line, "guest spec needs a name")
+	g.App = d.appSpec(app)
+	if tr := d.val(n, "traffic"); tr != nil {
+		g.Traffic = d.trafficSpec(tr)
 	}
-	if v, e := d.intField(n, "count", 1); e != nil {
-		return g, e
-	} else {
-		g.Count = int(v)
-	}
-	app, ok := n.vals["app"]
-	if !ok {
-		return g, d.errf(n.line, "guest %q needs an app", g.Name)
-	}
-	if g.App, err = d.appSpec(app); err != nil {
-		return g, err
-	}
-	if tr, ok := n.vals["traffic"]; ok {
-		if g.Traffic, err = d.trafficSpec(tr); err != nil {
-			return g, err
-		}
-	}
-	return g, nil
+	return g
 }
 
-func (d *dec) appSpec(n *node) (AppSpec, error) {
+func (d *dec) appSpec(n *node) AppSpec {
 	var a AppSpec
-	if err := d.wantMap(n, "app"); err != nil {
-		return a, err
+	if !d.isMap(n, "app") {
+		return a
 	}
-	if err := d.checkKeys(n, "app", "kind", "period_ms", "compute", "disk_kb", "sink", "transport"); err != nil {
-		return a, err
-	}
-	var err error
-	if a.Kind, err = d.str(n, "kind"); err != nil {
-		return a, err
-	}
-	switch a.Kind {
+	d.checkKeys(n, "app", "kind", "period_ms", "compute", "disk_kb", "sink", "transport")
+	switch a.Kind = d.str(n, "kind"); a.Kind {
 	case "beacon", "fileserver", "probe":
+	case "tenant":
+		// The tenant's shape is fixed; only its sink is configurable.
+		d.checkKeys(n, "tenant app", "kind", "sink")
+		a.Sink = d.str(n, "sink")
+		return a
 	default:
-		return a, d.errf(n.line, "unknown app kind %q (beacon, fileserver, probe)", a.Kind)
+		d.fail(n.line, "unknown app kind %q (beacon, fileserver, probe, tenant)", a.Kind)
 	}
-	if a.PeriodMS, err = d.floatField(n, "period_ms", 5); err != nil {
-		return a, err
-	}
-	if a.Compute, err = d.intField(n, "compute", 500_000); err != nil {
-		return a, err
-	}
-	if v, e := d.intField(n, "disk_kb", 0); e != nil {
-		return a, e
-	} else {
-		a.DiskKB = int(v)
-	}
-	if a.Sink, err = d.str(n, "sink"); err != nil {
-		return a, err
-	}
-	if a.Transport, err = d.str(n, "transport"); err != nil {
-		return a, err
-	}
-	if a.Transport == "" {
+	a.PeriodMS = d.floatField(n, "period_ms", 5)
+	a.Compute = d.int64Field(n, "compute", 500_000)
+	a.DiskKB = d.intField(n, "disk_kb", 0)
+	a.Sink = d.str(n, "sink")
+	if a.Transport = d.str(n, "transport"); a.Transport == "" {
 		a.Transport = "tcp"
 	}
 	if a.Transport != "tcp" && a.Transport != "udp" {
-		return a, d.errf(n.keyLine["transport"], "unknown transport %q (tcp, udp)", a.Transport)
+		d.fail(n.keyLine["transport"], "unknown transport %q (tcp, udp)", a.Transport)
 	}
-	return a, nil
+	return a
 }
 
-func (d *dec) trafficSpec(n *node) (TrafficSpec, error) {
+func (d *dec) trafficSpec(n *node) TrafficSpec {
 	var t TrafficSpec
-	if err := d.wantMap(n, "traffic"); err != nil {
-		return t, err
+	if !d.isMap(n, "traffic") {
+		return t
 	}
-	if err := d.checkKeys(n, "traffic",
-		"kind", "period_ms", "from", "size_kb", "constant", "start_ms", "stop_ms"); err != nil {
-		return t, err
-	}
-	var err error
-	if t.Kind, err = d.str(n, "kind"); err != nil {
-		return t, err
-	}
-	switch t.Kind {
+	d.checkKeys(n, "traffic",
+		"kind", "period_ms", "from", "size_kb", "constant", "start_ms", "stop_ms")
+	switch t.Kind = d.str(n, "kind"); t.Kind {
 	case "", "pings", "probe-stream", "downloads":
 	default:
-		return t, d.errf(n.line, "unknown traffic kind %q (pings, probe-stream, downloads)", t.Kind)
+		d.fail(n.line, "unknown traffic kind %q (pings, probe-stream, downloads)", t.Kind)
 	}
-	if t.PeriodMS, err = d.floatField(n, "period_ms", 20); err != nil {
-		return t, err
+	t.PeriodMS = d.floatField(n, "period_ms", 20)
+	t.From = d.str(n, "from")
+	t.SizeKB = d.intField(n, "size_kb", 64)
+	t.Constant = d.boolField(n, "constant", false)
+	t.StartMS = d.int64Field(n, "start_ms", 0)
+	t.StopMS = d.int64Field(n, "stop_ms", 0)
+	return t
+}
+
+func (d *dec) arrivals(n *node) *Arrivals {
+	a := &Arrivals{}
+	if !d.isMap(n, "arrivals") {
+		return a
 	}
-	if t.From, err = d.str(n, "from"); err != nil {
-		return t, err
+	d.checkKeys(n, "arrivals",
+		"guest", "rate", "lifetime_ms", "ping_ms", "from", "failures", "drains", "crashes")
+	a.Guest = d.str(n, "guest")
+	a.Rate = d.floatField(n, "rate", 2.5)
+	a.LifetimeMS = d.floatField(n, "lifetime_ms", 8000)
+	a.PingMS = d.floatField(n, "ping_ms", 250)
+	if a.From = d.str(n, "from"); a.From == "" {
+		a.From = a.Guest + "-client"
 	}
-	if v, e := d.intField(n, "size_kb", 64); e != nil {
-		return t, e
-	} else {
-		t.SizeKB = int(v)
-	}
-	if t.Constant, err = d.boolField(n, "constant", false); err != nil {
-		return t, err
-	}
-	if t.StartMS, err = d.intField(n, "start_ms", 0); err != nil {
-		return t, err
-	}
-	if t.StopMS, err = d.intField(n, "stop_ms", 0); err != nil {
-		return t, err
-	}
-	return t, nil
+	a.Failures = d.intField(n, "failures", 0)
+	a.Drains = d.intField(n, "drains", 0)
+	a.Crashes = d.intField(n, "crashes", 0)
+	return a
 }
 
 // eventKeys lists each action's allowed keys beyond at_ms/action.
@@ -455,75 +391,38 @@ var eventKeys = map[string][]string{
 	"heal":          {"from", "to", "duplex"},
 }
 
-func (d *dec) event(n *node) (Event, error) {
-	ev := Event{Machine: -1}
-	if err := d.wantMap(n, "event"); err != nil {
-		return ev, err
+func (d *dec) event(n *node) Event {
+	ev := Event{Machine: -1, Line: n.line}
+	if !d.isMap(n, "event") {
+		return ev
 	}
-	ev.Line = n.line
-	var err error
-	if ev.AtMS, err = d.intField(n, "at_ms", -1); err != nil {
-		return ev, err
+	if ev.AtMS = d.int64Field(n, "at_ms", -1); ev.AtMS < 0 {
+		d.fail(n.line, "event needs at_ms")
 	}
-	if ev.AtMS < 0 {
-		return ev, d.errf(n.line, "event needs at_ms")
-	}
-	if ev.Action, err = d.str(n, "action"); err != nil {
-		return ev, err
-	}
+	ev.Action = d.str(n, "action")
 	extra, ok := eventKeys[ev.Action]
 	if !ok {
-		return ev, d.errf(n.line, "unknown action %q", ev.Action)
+		d.fail(n.line, "unknown action %q", ev.Action)
 	}
-	if err := d.checkKeys(n, ev.Action+" event", append([]string{"at_ms", "action"}, extra...)...); err != nil {
-		return ev, err
-	}
-	if ev.Guest, err = d.str(n, "guest"); err != nil {
-		return ev, err
-	}
-	if v, e := d.intField(n, "count", 1); e != nil {
-		return ev, e
+	d.checkKeys(n, ev.Action+" event", append([]string{"at_ms", "action"}, extra...)...)
+	ev.Guest = d.str(n, "guest")
+	ev.Count = d.intField(n, "count", 1)
+	if m := d.val(n, "machine"); m != nil && m.scalar == "busiest" {
+		ev.Busiest = true
 	} else {
-		ev.Count = int(v)
+		ev.Machine = d.intField(n, "machine", -1)
 	}
-	if m, ok := n.vals["machine"]; ok {
-		if m.scalar == "busiest" {
-			ev.Busiest = true
-		} else {
-			v, e := d.intField(n, "machine", -1)
-			if e != nil {
-				return ev, e
-			}
-			ev.Machine = int(v)
-		}
-	}
-	if ev.Detected, err = d.boolField(n, "detected", true); err != nil {
-		return ev, err
-	}
-	if ev.RepairAfterMS, err = d.intField(n, "repair_after_ms", 0); err != nil {
-		return ev, err
-	}
-	if v, e := d.intField(n, "slot", 0); e != nil {
-		return ev, e
-	} else {
-		ev.Slot = int(v)
-	}
-	if ev.To, err = d.str(n, "to"); err != nil {
-		return ev, err
-	}
+	ev.Detected = d.boolField(n, "detected", true)
+	ev.RepairAfterMS = d.int64Field(n, "repair_after_ms", 0)
+	ev.Slot = d.intField(n, "slot", 0)
+	ev.To = d.str(n, "to")
 	if ev.Action == "inject-loss" || ev.Action == "partition" || ev.Action == "heal" {
-		if ev.From, err = d.str(n, "from"); err != nil {
-			return ev, err
-		}
+		ev.From = d.str(n, "from")
 		ev.ToAddr, ev.To = ev.To, ""
 	}
-	if ev.Prob, err = d.floatField(n, "prob", 0); err != nil {
-		return ev, err
-	}
-	if ev.Duplex, err = d.boolField(n, "duplex", false); err != nil {
-		return ev, err
-	}
-	return ev, nil
+	ev.Prob = d.floatField(n, "prob", 0)
+	ev.Duplex = d.boolField(n, "duplex", false)
+	return ev
 }
 
 // assertKeys lists each check's allowed keys beyond check.
@@ -537,70 +436,33 @@ var assertKeys = map[string][]string{
 	"journal":    {"guest", "min_checkpoints"},
 }
 
-func (d *dec) assertion(n *node) (Assertion, error) {
-	var a Assertion
-	if err := d.wantMap(n, "assertion"); err != nil {
-		return a, err
+func (d *dec) assertion(n *node) Assertion {
+	a := Assertion{Line: n.line}
+	if !d.isMap(n, "assertion") {
+		return a
 	}
-	a.Line = n.line
-	var err error
-	if a.Check, err = d.str(n, "check"); err != nil {
-		return a, err
-	}
+	a.Check = d.str(n, "check")
 	extra, ok := assertKeys[a.Check]
 	if !ok {
-		return a, d.errf(n.line, "unknown check %q", a.Check)
+		d.fail(n.line, "unknown check %q", a.Check)
 	}
-	if err := d.checkKeys(n, a.Check+" assertion", append([]string{"check"}, extra...)...); err != nil {
-		return a, err
-	}
-	if a.Guest, err = d.str(n, "guest"); err != nil {
-		return a, err
-	}
-	if a.Guests, err = d.strList(n, "guests"); err != nil {
-		return a, err
-	}
-	if a.Strict, err = d.boolField(n, "strict", false); err != nil {
-		return a, err
-	}
-	if a.Field, err = d.str(n, "field"); err != nil {
-		return a, err
-	}
-	if a.Op, err = d.str(n, "op"); err != nil {
-		return a, err
-	}
-	if _, ok := n.vals["detected"]; ok {
-		det, e := d.boolField(n, "detected", false)
-		if e != nil {
-			return a, e
-		}
+	d.checkKeys(n, a.Check+" assertion", append([]string{"check"}, extra...)...)
+	a.Guest = d.str(n, "guest")
+	a.Guests = d.strList(n, "guests")
+	a.Strict = d.boolField(n, "strict", false)
+	a.Field = d.str(n, "field")
+	a.Op = d.str(n, "op")
+	if d.val(n, "detected") != nil {
+		det := d.boolField(n, "detected", false)
 		a.Detected = &det
 	}
-	if a.WithinMS, err = d.intField(n, "within_ms", 0); err != nil {
-		return a, err
-	}
-	if a.Name, err = d.str(n, "name"); err != nil {
-		return a, err
-	}
-	if a.Label, err = d.str(n, "label"); err != nil {
-		return a, err
-	}
-	if a.Min, err = d.optFloat(n, "min"); err != nil {
-		return a, err
-	}
-	if a.Max, err = d.optFloat(n, "max"); err != nil {
-		return a, err
-	}
-	if a.NotFired, err = d.boolField(n, "not_fired", false); err != nil {
-		return a, err
-	}
-	if v, e := d.intField(n, "min_shared", 1); e != nil {
-		return a, e
-	} else {
-		a.MinShared = int(v)
-	}
-	if a.MinCheckpoints, err = d.intField(n, "min_checkpoints", 1); err != nil {
-		return a, err
-	}
-	return a, nil
+	a.WithinMS = d.int64Field(n, "within_ms", 0)
+	a.Name = d.str(n, "name")
+	a.Label = d.str(n, "label")
+	a.Min = d.optFloat(n, "min")
+	a.Max = d.optFloat(n, "max")
+	a.NotFired = d.boolField(n, "not_fired", false)
+	a.MinShared = d.intField(n, "min_shared", 1)
+	a.MinCheckpoints = d.int64Field(n, "min_checkpoints", 1)
+	return a
 }

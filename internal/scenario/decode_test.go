@@ -19,6 +19,18 @@ const goodFleet = `fleet:
         period_ms: 5
 `
 
+// tenantFleet declares the arrivals' tenant spec.
+const tenantFleet = `fleet:
+  machines: 6
+  capacity: 3
+  guests:
+    - name: tenant
+      count: 0
+      app:
+        kind: tenant
+        sink: churn-sink
+`
+
 func mustParse(t *testing.T, src string) *Scenario {
 	t.Helper()
 	sc, err := Parse("test.yaml", []byte(src))
@@ -181,7 +193,19 @@ func TestDecodeGoldenErrors(t *testing.T) {
       count: 1
       app:
         kind: kubernetes
-`, `test.yaml:11: unknown app kind "kubernetes" (beacon, fileserver, probe)`)
+`, `test.yaml:11: unknown app kind "kubernetes" (beacon, fileserver, probe, tenant)`)
+	// A tenant app's shape is fixed: only its sink is a parameter.
+	wantErr(t, head+`fleet:
+  machines: 6
+  capacity: 3
+  guests:
+    - name: tenant
+      count: 0
+      app:
+        kind: tenant
+        sink: s
+        period_ms: 5
+`, `test.yaml:13: unknown tenant app key "period_ms" (allowed: kind, sink)`)
 	// Missing at_ms.
 	wantErr(t, head+goodFleet+`events:
   - action: evict
@@ -302,6 +326,33 @@ func TestValidateGoldenErrors(t *testing.T) {
   - check: oplog
     op: repair
 `, `test.yaml:14: oplog assertion needs min and/or max (or not_fired: true)`)
+	// Arrivals: rate, lifetime and ping period must be positive.
+	wantErr(t, head+tenantFleet+"arrivals:\n  guest: tenant\n  rate: 0\n",
+		`test.yaml:13: arrivals rate, lifetime_ms and ping_ms must be positive`)
+	wantErr(t, head+tenantFleet+"arrivals:\n  guest: tenant\n  lifetime_ms: -5\n",
+		`test.yaml:13: arrivals rate, lifetime_ms and ping_ms must be positive`)
+	// Arrivals: fault counts must not be negative.
+	for _, key := range []string{"failures", "drains", "crashes"} {
+		wantErr(t, head+tenantFleet+"arrivals:\n  guest: tenant\n  "+key+": -1\n",
+			`test.yaml:13: arrivals failures, drains and crashes must be >= 0`)
+	}
+	// Arrivals need a window before the final two-second drain.
+	wantErr(t, head+tenantFleet+"arrivals:\n  guest: tenant\n",
+		`test.yaml:13: arrivals need duration_ms above 2000 (the last two seconds drain)`)
+	// Arrivals naming an undeclared spec, or a spec that is not a tenant.
+	wantErr(t, head+tenantFleet+"arrivals:\n  guest: ghost\n",
+		`test.yaml:13: arrivals reference undeclared guest "ghost"`)
+	wantErr(t, head+goodFleet+"arrivals:\n  guest: g\n",
+		`test.yaml:13: arrivals guest "g" must have app kind tenant, not "beacon"`)
+	// A tenant app needs a sink, and a tenant spec is only for arrivals.
+	wantErr(t, head+strings.Replace(tenantFleet, "        sink: churn-sink\n", "", 1)+"arrivals:\n  guest: tenant\n",
+		`test.yaml:8: guest "tenant": tenant app needs a sink`)
+	wantErr(t, head+strings.Replace(tenantFleet, "count: 0", "count: 2", 1)+"arrivals:\n  guest: tenant\n",
+		`test.yaml:8: guest "tenant": a tenant spec is populated by arrivals only (name it in arrivals, count: 0, no traffic)`)
+	wantErr(t, head+tenantFleet,
+		`test.yaml:8: guest "tenant": a tenant spec is populated by arrivals only (name it in arrivals, count: 0, no traffic)`)
+	wantErr(t, head+tenantFleet+"arrivals:\n  guest: tenant\nevents:\n  - at_ms: 100\n    action: admit\n    guest: tenant\n",
+		`test.yaml:16: admit event: tenant spec "tenant" is populated by arrivals only`)
 	// Output-digest pin for an undeclared instance.
 	wantErr(t, head+"output_digests:\n  1:\n    ghost: 0123456789abcdef\n"+goodFleet,
 		`test.yaml:1: output_digests seed 1 references undeclared guest "ghost"`)

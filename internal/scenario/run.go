@@ -1,6 +1,7 @@
 // The interpreter: builds a cluster + control plane from the Fleet,
-// schedules the event script on the simulation loop, drives traffic, and
-// hands the run to assert.go. Every lifecycle mutation is a
+// schedules the event script and the open-loop arrivals (arrivals.go) on
+// the simulation loop, drives traffic, and hands the run to assert.go.
+// Every lifecycle mutation is a
 // ControlPlane.Apply; every observation goes through Watch, the op log,
 // the pool's read API and the metrics registry. The only exception is the
 // netsim fault vocabulary (inject-loss / partition / heal), reached
@@ -49,10 +50,47 @@ type Result struct {
 	// unpinned).
 	Digest string
 	Pinned string
-	// Stats is FoldOpStats over the log.
+	// Log is the operations log and Stats is FoldOpStats over it.
+	Log   []*stopwatch.Outcome
 	Stats stopwatch.ControlPlaneStats
+	// Metrics is the end-of-run metrics snapshot as canonical JSON.
+	Metrics string
+	// Tally counts what the run injected and what its audits found.
+	Tally Tally
 	// Failures lists every assertion or runtime defect (empty = pass).
 	Failures []string
+}
+
+// Tally is the run's injection and audit accounting. Every defect it
+// counts is also listed in Result.Failures.
+type Tally struct {
+	// ReplicaKills, Drains and Crashes count injected replica failures,
+	// machine drains and machine kills; DrainsDone and CrashesDone count
+	// the drains and evacuations that finished.
+	ReplicaKills, Drains, DrainsDone, Crashes, CrashesDone int
+	// Infeasible counts moves skipped because no host could take them
+	// (ErrNoFeasibleHost): the guest serves degraded on its live replicas.
+	Infeasible int
+	// Audited counts placement audits (one per finished top-level op);
+	// Violations the audits that failed.
+	Audited, Violations int
+	// Defects by kind: mid-run lockstep audits, and replacement, drain and
+	// crash (fail, evacuate, repair) errors.
+	PrefixErrs, ReplaceErrs, DrainErrs, CrashErrs int
+	// Echoes counts guest data packets delivered to the arrivals client.
+	Echoes int
+	// The end-of-run audit of the resident arrival tenants: fully live and
+	// in lockstep, degraded but in lockstep on their live replicas,
+	// diverged; and their summed synchrony divergences.
+	Lockstep, Degraded, Diverged, Divergences int
+	// Journal checkpoint telemetry of every evicted guest and every
+	// resident arrival tenant.
+	Checkpoints, TruncatedRecords int
+	TruncatedBytes                int64
+	// End-of-run cloud state.
+	Residents   int
+	Utilization float64
+	EgressStuck int
 }
 
 // Passed reports whether the run finished with no failures.
@@ -80,7 +118,7 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 		nextIdx:      map[string]int{},
 		evictedCkpts: map[string]int{},
 		killTimes:    map[int][]stopwatch.Time{},
-		repairAfter:  map[int]stopwatch.Time{},
+		repairAfter:  map[int]func() stopwatch.Time{},
 	}
 	if err := r.build(); err != nil {
 		return nil, err
@@ -120,13 +158,29 @@ type runner struct {
 	killTimes map[int][]stopwatch.Time
 	// repairAfter schedules a RepairOp that long after a machine's
 	// evacuation completes.
-	repairAfter map[int]stopwatch.Time
+	repairAfter map[int]func() stopwatch.Time
 
+	// Open-loop state (arrivals.go): the seeded stream every draw comes
+	// from, the end of the arrival window, and the resident tenants in
+	// sorted order.
+	rng       *stopwatch.Rand
+	windowEnd stopwatch.Time
+	resident  []string
+
+	tally    Tally
 	failures []string
 }
 
 func (r *runner) failf(format string, args ...any) {
 	r.failures = append(r.failures, fmt.Sprintf(format, args...))
+}
+
+// defect records a failure and counts it under kind (nil = uncounted).
+func (r *runner) defect(kind *int, format string, args ...any) {
+	if kind != nil {
+		*kind++
+	}
+	r.failf(format, args...)
 }
 
 func (r *runner) logf(format string, args ...any) {
@@ -186,6 +240,9 @@ func (r *runner) build() error {
 	for _, n := range f.Nodes {
 		nodes[n] = true
 	}
+	if a := r.sc.Arrivals; a != nil {
+		nodes[a.From] = true
+	}
 	for i := range f.Guests {
 		g := &f.Guests[i]
 		if g.App.Sink != "" {
@@ -202,7 +259,15 @@ func (r *runner) build() error {
 	}
 	sort.Strings(addrs)
 	for _, n := range addrs {
-		if err := c.Net().Attach(&stopwatch.FuncNode{Addr: stopwatch.Addr(n), Fn: func(*stopwatch.Packet) {}}); err != nil {
+		fn := func(*stopwatch.Packet) {}
+		if a := r.sc.Arrivals; a != nil && n == a.From {
+			fn = func(p *stopwatch.Packet) {
+				if p.Kind == "guest:data" {
+					r.tally.Echoes++
+				}
+			}
+		}
+		if err := c.Net().Attach(&stopwatch.FuncNode{Addr: stopwatch.Addr(n), Fn: fn}); err != nil {
 			return err
 		}
 	}
@@ -212,8 +277,9 @@ func (r *runner) build() error {
 		if ev.Parent != 0 || (ev.Kind != stopwatch.OpCompleted && ev.Kind != stopwatch.OpFailed) {
 			return
 		}
+		r.tally.Audited++
 		if err := cp.Verify(); err != nil {
-			r.failf("placement audit after %v: %v", ev.Op, err)
+			r.defect(&r.tally.Violations, "placement audit after %v at %v: %v", ev.Op, ev.At, err)
 		}
 	})
 	// Evacuation completions — scripted or detector-chained — classify
@@ -300,6 +366,9 @@ func (r *runner) wire() {
 	for _, ev := range r.sc.Events {
 		ev := ev
 		r.c.Loop().At(stopwatch.Millis(float64(ev.AtMS)), "scenario:"+ev.Action, func() { r.exec(ev) })
+	}
+	if r.sc.Arrivals != nil {
+		r.startArrivals()
 	}
 }
 
@@ -441,28 +510,40 @@ func (r *runner) startSpecTraffic(g *GuestSpec) {
 func (r *runner) exec(ev Event) {
 	switch ev.Action {
 	case "admit", "saturate-disk":
-		for i := range r.sc.Fleet.Guests {
-			if g := &r.sc.Fleet.Guests[i]; g.Name == ev.Guest {
-				r.logf("t=%7.3fs  %s %d x %s", seconds(r.c.Loop().Now()), ev.Action, ev.Count, ev.Guest)
-				r.admitBurst(g, ev.Count)
-				return
+		r.logf("t=%7.3fs  %s %d x %s", seconds(r.c.Loop().Now()), ev.Action, ev.Count, ev.Guest)
+		r.admitBurst(r.spec(ev.Guest), ev.Count)
+	case "evict":
+		r.evict(ev.Guest, stopwatch.Millis(100), 0)
+	case "kill-machine":
+		m := ev.Machine
+		if ev.Busiest {
+			m = 0
+			for h := 1; h < r.sc.Fleet.Machines; h++ {
+				if len(r.cp.Pool().Residents(h)) > len(r.cp.Pool().Residents(m)) {
+					m = h
+				}
 			}
 		}
-	case "evict":
-		r.evict(ev.Guest, 0)
-	case "kill-machine":
-		r.killMachine(ev)
-	case "kill-replica":
-		r.killReplica(ev)
-	case "drain":
-		r.cp.Apply(stopwatch.DrainOp{Machine: ev.Machine, Done: func(oc *stopwatch.Outcome) {
-			r.classify(fmt.Sprintf("drain %d", ev.Machine), oc.Err)
-			r.auditGuests(oc.Guests)
-		}})
-	case "undrain":
-		if oc := r.cp.Apply(stopwatch.UndrainOp{Machine: ev.Machine}); oc.Err != nil {
-			r.failf("undrain %d: %v", ev.Machine, oc.Err)
+		var repair func() stopwatch.Time
+		if ev.RepairAfterMS > 0 {
+			repair = func() stopwatch.Time { return stopwatch.Millis(float64(ev.RepairAfterMS)) }
 		}
+		r.killMachine(m, ev.Detected, repair)
+	case "kill-replica":
+		g, ok := r.c.Guest(ev.Guest)
+		if !ok {
+			r.failf("kill-replica %s: not deployed", ev.Guest)
+			return
+		}
+		if _, busy := r.cp.InFlight(ev.Guest); busy || len(frozenSlots(g)) > 0 {
+			r.failf("kill-replica %s: guest busy or already degraded", ev.Guest)
+			return
+		}
+		r.killReplica(g, ev.Slot)
+	case "drain":
+		r.drain(ev.Machine, nil)
+	case "undrain":
+		r.undrain(ev.Machine)
 	case "migrate":
 		r.migrate(ev)
 	case "inject-loss", "partition", "heal":
@@ -470,20 +551,25 @@ func (r *runner) exec(ev Event) {
 	}
 }
 
-// classify folds an op error into failures, tolerating infeasible packing
-// (the guest serves degraded on its live pair — expected under
-// saturation).
-func (r *runner) classify(what string, err error) {
+// classify folds an op error into defects of the given kind, counting
+// infeasible packing apart (the guest serves degraded on its live pair —
+// expected under saturation). A joined error is classified member by
+// member, so an infeasible move cannot mask a genuine failure beside it.
+func (r *runner) classify(kind *int, what string, err error) {
 	if err == nil {
 		return
 	}
 	for _, sub := range unjoin(err) {
-		if !errors.Is(sub, stopwatch.ErrNoFeasibleHost) {
-			r.failf("%s: %v", what, sub)
+		if errors.Is(sub, stopwatch.ErrNoFeasibleHost) {
+			r.tally.Infeasible++
+		} else {
+			r.defect(kind, "%s: %v", what, sub)
 		}
 	}
 }
 
+// unjoin flattens an errors.Join result into its members (or the error
+// itself when it is not a join).
 func unjoin(err error) []error {
 	if u, ok := err.(interface{ Unwrap() []error }); ok {
 		return u.Unwrap()
@@ -501,108 +587,129 @@ func (r *runner) auditGuests(ids []string) {
 			continue
 		}
 		if _, err := auditLockstep(g, false); err != nil {
-			r.failf("lockstep %s: %v", id, err)
+			r.defect(&r.tally.PrefixErrs, "lockstep %s: %v", id, err)
 		}
 	}
 }
 
-// evict departs a guest, retrying while its lifecycle is mid-operation.
-func (r *runner) evict(id string, tries int) {
+// evict departs a guest after auditing it, retrying every retry while its
+// lifecycle is mid-operation (or the eviction races one that starts this
+// instant).
+func (r *runner) evict(id string, retry stopwatch.Time, tries int) {
 	g, ok := r.c.Guest(id)
 	if !ok {
 		r.failf("evict %s: not deployed", id)
 		return
 	}
-	if _, busy := r.cp.InFlight(id); busy {
+	again := func() {
 		if tries >= 50 {
 			r.failf("evict %s: still busy after %d retries", id, tries)
 			return
 		}
-		r.c.Loop().After(stopwatch.Millis(100), "scenario:evict-retry", func() { r.evict(id, tries+1) })
+		r.c.Loop().After(retry, "scenario:evict-retry", func() { r.evict(id, retry, tries+1) })
+	}
+	if _, busy := r.cp.InFlight(id); busy {
+		again()
 		return
 	}
 	if _, err := auditLockstep(g, false); err != nil {
-		r.failf("lockstep before evict %s: %v", id, err)
+		r.defect(&r.tally.PrefixErrs, "lockstep before evict %s: %v", id, err)
 	}
-	ckpts := g.JournalStats().Checkpoints
+	js := g.JournalStats()
 	if oc := r.cp.Apply(stopwatch.EvictOp{GuestID: id}); oc.Err != nil {
-		r.failf("evict %s: %v", id, oc.Err)
+		again()
 		return
 	}
-	r.evictedCkpts[id] += ckpts
+	r.evictedCkpts[id] += js.Checkpoints
+	r.tally.Checkpoints += js.Checkpoints
+	r.tally.TruncatedRecords += js.TruncatedRecords
+	r.tally.TruncatedBytes += js.TruncatedBytes
+	r.dropResident(id)
 }
 
-func (r *runner) killMachine(ev Event) {
-	m := ev.Machine
-	if ev.Busiest {
-		m = 0
-		for h := 1; h < r.sc.Fleet.Machines; h++ {
-			if len(r.cp.Pool().Residents(h)) > len(r.cp.Pool().Residents(m)) {
-				m = h
-			}
-		}
-	}
-	r.logf("t=%7.3fs  kill machine %d (detected=%v)", seconds(r.c.Loop().Now()), m, ev.Detected)
+// killMachine crashes machine m. A detected kill is data-plane only: the
+// stall detector notices the silent VMM, fails the machine and chains the
+// evacuation. Otherwise the FailOp and EvacuateOp are scripted here.
+// Either way the watch subscription hands the evacuation to
+// evacuationFinished, which schedules the repair after repair() (nil =
+// never repaired).
+func (r *runner) killMachine(m int, detected bool, repair func() stopwatch.Time) {
+	r.logf("t=%7.3fs  kill machine %d (detected=%v)", seconds(r.c.Loop().Now()), m, detected)
+	r.tally.Crashes++
 	r.killTimes[m] = append(r.killTimes[m], r.c.Loop().Now())
-	if ev.RepairAfterMS > 0 {
-		r.repairAfter[m] = stopwatch.Millis(float64(ev.RepairAfterMS))
+	if repair != nil {
+		r.repairAfter[m] = repair
 	}
-	if ev.Detected {
-		// Data-plane kill only: the stall detector notices the silent VMM,
-		// auto-fails the machine and chains the evacuation; the watch
-		// subscription picks the outcome up.
+	if detected {
 		if err := r.c.FailMachine(m); err != nil {
-			r.failf("kill machine %d: %v", m, err)
+			r.tally.CrashesDone++
+			r.defect(&r.tally.CrashErrs, "kill machine %d: %v", m, err)
 		}
 		return
 	}
 	if oc := r.cp.Apply(stopwatch.FailOp{Machine: m}); oc.Rejected() {
-		r.failf("fail machine %d: %v", m, oc.Err)
+		r.tally.CrashesDone++
+		r.defect(&r.tally.CrashErrs, "fail machine %d: %v", m, oc.Err)
 		return
 	}
 	if oc := r.cp.Apply(stopwatch.EvacuateOp{Machine: m}); oc.Rejected() {
-		r.failf("evacuate machine %d: %v", m, oc.Err)
+		r.defect(&r.tally.CrashErrs, "evacuate machine %d: %v", m, oc.Err)
 	}
 }
 
 // evacuationFinished is the watch hook for every completed evacuation.
 func (r *runner) evacuationFinished(m int, oc *stopwatch.Outcome) {
-	r.classify(fmt.Sprintf("evacuate machine %d", m), oc.Err)
+	r.tally.CrashesDone++
+	r.classify(&r.tally.CrashErrs, fmt.Sprintf("evacuate machine %d", m), oc.Err)
 	r.auditGuests(oc.Guests)
-	delay, ok := r.repairAfter[m]
+	repair, ok := r.repairAfter[m]
 	if !ok {
 		return
 	}
 	delete(r.repairAfter, m)
-	r.c.Loop().After(delay, "scenario:repair", func() {
+	r.c.Loop().After(repair(), "scenario:repair", func() {
 		// A degraded guest stuck on the machine (infeasible move) keeps it
 		// failed; a RepairOp would rightly refuse.
 		if len(r.cp.Pool().Residents(m)) > 0 {
 			return
 		}
 		if oc := r.cp.Apply(stopwatch.RepairOp{Machine: m}); oc.Err != nil {
-			r.failf("repair machine %d: %v", m, oc.Err)
+			r.defect(&r.tally.CrashErrs, "repair machine %d: %v", m, oc.Err)
 		}
 	})
 }
 
-func (r *runner) killReplica(ev Event) {
-	id := ev.Guest
-	g, ok := r.c.Guest(id)
-	if !ok {
-		r.failf("kill-replica %s: not deployed", id)
-		return
-	}
-	if _, busy := r.cp.InFlight(id); busy || len(frozenSlots(g)) > 0 {
-		r.failf("kill-replica %s: guest busy or already degraded", id)
-		return
-	}
-	victim := g.Replica(ev.Slot)
+// killReplica crashes one replica of g and scripts its replacement.
+func (r *runner) killReplica(g *stopwatch.Guest, slot int) {
+	id := g.ID
+	victim := g.Replica(slot)
 	deadHost := victim.Host()
 	victim.Runtime().Stop() // the crash
+	r.tally.ReplicaKills++
 	r.cp.Apply(stopwatch.ReplaceOp{GuestID: id, DeadHost: deadHost, Done: func(oc *stopwatch.Outcome) {
-		r.classify(fmt.Sprintf("replace %s", id), oc.Err)
+		r.classify(&r.tally.ReplaceErrs, fmt.Sprintf("replace %s", id), oc.Err)
 	}})
+}
+
+// drain evacuates machine m for maintenance and audits the moved guests.
+// With maintenance set, the machine's capacity returns to the pool that
+// long after the drain finishes.
+func (r *runner) drain(m int, maintenance func() stopwatch.Time) {
+	r.tally.Drains++
+	r.cp.Apply(stopwatch.DrainOp{Machine: m, Done: func(oc *stopwatch.Outcome) {
+		r.tally.DrainsDone++
+		r.classify(&r.tally.DrainErrs, fmt.Sprintf("drain %d", m), oc.Err)
+		r.auditGuests(oc.Guests)
+		if maintenance != nil && !oc.Rejected() {
+			r.c.Loop().After(maintenance(), "scenario:undrain", func() { r.undrain(m) })
+		}
+	}})
+}
+
+func (r *runner) undrain(m int) {
+	if oc := r.cp.Apply(stopwatch.UndrainOp{Machine: m}); oc.Err != nil {
+		r.defect(&r.tally.DrainErrs, "undrain %d: %v", m, oc.Err)
+	}
 }
 
 func (r *runner) migrate(ev Event) {
@@ -624,7 +731,7 @@ func (r *runner) migrate(ev Event) {
 		to, _ = strconv.Atoi(ev.To)
 	}
 	r.cp.Apply(stopwatch.MigrateOp{GuestID: id, From: from, To: to, Done: func(oc *stopwatch.Outcome) {
-		r.classify(fmt.Sprintf("migrate %s %d->%d", id, from, to), oc.Err)
+		r.classify(nil, fmt.Sprintf("migrate %s %d->%d", id, from, to), oc.Err)
 	}})
 }
 
@@ -740,8 +847,8 @@ func auditLockstep(g *stopwatch.Guest, strict bool) (degraded bool, err error) {
 	return false, g.CheckLockstepPrefix()
 }
 
-// finish publishes the final snapshot, evaluates the assertions and digest
-// pin, and assembles the result.
+// finish publishes the final snapshot, audits the arrival tenants,
+// evaluates the assertions and digest pin, and assembles the result.
 func (r *runner) finish() *Result {
 	if r.srv != nil {
 		r.srv.Publish(r.reg)
@@ -750,19 +857,26 @@ func (r *runner) finish() *Result {
 	digest := fnv.New64a()
 	_, _ = digest.Write([]byte(stopwatch.FormatOpLog(log)))
 	res := &Result{
-		Name:   r.sc.Name,
-		Seed:   r.seed,
-		Shards: r.shards,
-		Ops:    len(log),
-		Digest: fmt.Sprintf("%016x", digest.Sum64()),
-		Pinned: r.sc.Digests[r.seed],
-		Stats:  stopwatch.FoldOpStats(log),
+		Name:    r.sc.Name,
+		Seed:    r.seed,
+		Shards:  r.shards,
+		Ops:     len(log),
+		Digest:  fmt.Sprintf("%016x", digest.Sum64()),
+		Pinned:  r.sc.Digests[r.seed],
+		Log:     log,
+		Stats:   stopwatch.FoldOpStats(log),
+		Metrics: r.reg.JSON(),
 	}
+	r.auditResidents()
+	r.tally.Residents = r.cp.Residents()
+	r.tally.Utilization = r.cp.Utilization()
+	r.tally.EgressStuck = r.c.Egress().StuckBelowForward()
 	r.assertAll(log, res)
 	if res.Pinned != "" && res.Pinned != res.Digest {
 		r.failf("op-log digest %s does not match the pin %s for seed %d", res.Digest, res.Pinned, r.seed)
 	}
 	r.checkOutputDigests()
+	res.Tally = r.tally
 	res.Failures = r.failures
 	return res
 }

@@ -44,6 +44,7 @@ type Scenario struct {
 	OutputDigests map[uint64]map[string]string
 
 	Fleet      Fleet
+	Arrivals   *Arrivals
 	Events     []Event
 	Assertions []Assertion
 
@@ -90,9 +91,41 @@ type GuestSpec struct {
 	Line int
 }
 
+// Arrivals is the open-loop workload (nil = none). Tenants of one spec
+// arrive as a Poisson process and leave after exponential lifetimes, a
+// client pings every resident tenant at exponential intervals, and replica
+// failures, machine drains and machine crashes strike at random times and
+// victims. All of it runs until two seconds before the end of the run and
+// draws from one seeded stream, so a run replays byte-identically.
+type Arrivals struct {
+	// Guest names the tenant spec whose instances arrive, as
+	// "<guest>-000", "<guest>-001", …
+	Guest string
+	// Rate is the mean arrival rate (tenants per second).
+	Rate float64
+	// LifetimeMS is the mean tenant lifetime.
+	LifetimeMS float64
+	// PingMS is the mean client ping period.
+	PingMS float64
+	// From is the pinging client's fabric address (default
+	// "<guest>-client").
+	From string
+	// Failures, Drains and Crashes count the replica failures, machine
+	// drains and machine crashes to inject. A drained machine is undrained,
+	// and a crashed one repaired, after an exponential two-second window.
+	// Crashes are data-plane kills left to the stall detector when the
+	// fleet arms it.
+	Failures, Drains, Crashes int
+
+	// Line is the section's position in the file.
+	Line int
+}
+
 // AppSpec selects and parameterizes the guest application.
 type AppSpec struct {
-	// Kind: "beacon" | "fileserver" | "probe".
+	// Kind: "beacon" | "fileserver" | "probe" | "tenant" (the arrivals'
+	// burst+echo app: compute, disk and a send to Sink every few ms, and
+	// an echo for every client ping).
 	Kind string
 	// PeriodMS is the beacon burst period (guest virtual time).
 	PeriodMS float64
@@ -100,7 +133,7 @@ type AppSpec struct {
 	Compute int64
 	// DiskKB is the beacon per-burst disk read (KB).
 	DiskKB int
-	// Sink is the beacon's packet sink address ("" disables).
+	// Sink is the beacon's ("" disables) or tenant's packet sink address.
 	Sink string
 	// Transport: "tcp" | "udp" (fileserver).
 	Transport string

@@ -38,6 +38,7 @@ var opKinds = map[string]bool{
 func (sc *Scenario) Validate() error {
 	v := &validator{sc: sc, totals: map[string]int{}, specs: map[string]*GuestSpec{}}
 	v.fleet()
+	v.arrivals()
 	v.events()
 	v.assertions()
 	return errors.Join(v.errs...)
@@ -95,6 +96,14 @@ func (v *validator) fleet() {
 		}
 		if g.App.Kind == "beacon" && g.App.PeriodMS <= 0 {
 			v.errf(g.Line, "guest %q: beacon period_ms must be positive", g.Name)
+		}
+		if g.App.Kind == "tenant" {
+			if a := sc.Arrivals; a == nil || a.Guest != g.Name || g.Count != 0 || g.Traffic.Kind != "" {
+				v.errf(g.Line, "guest %q: a tenant spec is populated by arrivals only (name it in arrivals, count: 0, no traffic)", g.Name)
+			}
+			if g.App.Sink == "" {
+				v.errf(g.Line, "guest %q: tenant app needs a sink", g.Name)
+			}
 		}
 	}
 	if len(f.Guests) == 0 {
@@ -191,6 +200,27 @@ func (v *validator) linkEndpoint(line int, s, what string) {
 	}
 }
 
+func (v *validator) arrivals() {
+	a := v.sc.Arrivals
+	if a == nil {
+		return
+	}
+	if spec, ok := v.specs[a.Guest]; !ok {
+		v.errf(a.Line, "arrivals reference undeclared guest %q", a.Guest)
+	} else if spec.App.Kind != "tenant" {
+		v.errf(a.Line, "arrivals guest %q must have app kind tenant, not %q", a.Guest, spec.App.Kind)
+	}
+	if a.Rate <= 0 || a.LifetimeMS <= 0 || a.PingMS <= 0 {
+		v.errf(a.Line, "arrivals rate, lifetime_ms and ping_ms must be positive")
+	}
+	if a.Failures < 0 || a.Drains < 0 || a.Crashes < 0 {
+		v.errf(a.Line, "arrivals failures, drains and crashes must be >= 0")
+	}
+	if v.sc.DurationMS <= 2000 {
+		v.errf(a.Line, "arrivals need duration_ms above 2000 (the last two seconds drain)")
+	}
+}
+
 func (v *validator) events() {
 	sc := v.sc
 	var prev int64
@@ -209,6 +239,8 @@ func (v *validator) events() {
 				v.errf(ev.Line, "%s needs a guest spec", what)
 			} else if spec, ok := v.specs[ev.Guest]; !ok {
 				v.errf(ev.Line, "%s references undeclared guest %q", what, ev.Guest)
+			} else if spec.App.Kind == "tenant" {
+				v.errf(ev.Line, "%s: tenant spec %q is populated by arrivals only", what, ev.Guest)
 			} else if ev.Action == "saturate-disk" && spec.App.DiskKB <= 0 {
 				v.errf(ev.Line, "saturate-disk event: guest spec %q has no disk load (set app disk_kb)", ev.Guest)
 			}

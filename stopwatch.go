@@ -78,6 +78,9 @@ func Seconds(s float64) Time { return sim.FromSeconds(s) }
 // Millis converts milliseconds to simulated Time.
 func Millis(ms float64) Time { return sim.FromMillis(ms) }
 
+// Rand is a seeded random stream (Cluster.Source().Stream(label)).
+type Rand = sim.Rand
+
 // Addr is a network fabric address.
 type Addr = netsim.Addr
 
@@ -281,9 +284,7 @@ func NewPool(n, c int) (*Pool, error) { return placement.NewPool(n, c) }
 // turns a stalled proposal group into a detector-driven
 // fail → reconfigure → evacuate pipeline. EnablePlannedMigration turns
 // infeasible Admit/Rehome requests into one-move migration plans run as
-// child MigrateOps. The verb methods (Admit, Evict, ReplaceReplica,
-// DrainHost, UndrainHost, FailHost, EvacuateFailedHost, RepairHost,
-// Migrate) are thin wrappers over Apply.
+// child MigrateOps. Apply is the only way to submit an operation.
 type ControlPlane = controlplane.ControlPlane
 
 // ControlPlaneConfig tunes the orchestrator.
