@@ -1,11 +1,27 @@
 package experiment
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"stopwatch/internal/sim"
 )
+
+// pinRender fails unless the fnv-64a digest of an experiment's rendered
+// result equals want. A simulated run is a pure function of its config, so
+// any change in the digest means the experiment's behavior changed; a
+// refactor must keep it. The pins were taken on amd64, where CI runs: other
+// architectures may fuse floating-point operations differently and print
+// different last digits.
+func pinRender(t *testing.T, render string, want uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(render))
+	if got := h.Sum64(); got != want {
+		t.Errorf("Render() digest %#x, pinned %#x; output:\n%s", got, want, render)
+	}
+}
 
 func TestFig1ShapeHalf(t *testing.T) {
 	r, err := RunFig1(DefaultFig1Config())
@@ -156,6 +172,7 @@ func TestFig4SideChannel(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig 4(a)") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0x91b36d1af3be7ae5)
 }
 
 func TestFig5Shape(t *testing.T) {
@@ -199,6 +216,7 @@ func TestFig5Shape(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig 5") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0xc1e8526b0544e23e)
 }
 
 func TestFig6Shape(t *testing.T) {
@@ -236,6 +254,7 @@ func TestFig6Shape(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig 6(a)") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0x6d2b6cbf737ef653)
 }
 
 func TestFig7Shape(t *testing.T) {
@@ -280,6 +299,7 @@ func TestFig7Shape(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig 7(a)") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0x3a11c452e818a43)
 }
 
 func TestCalibShape(t *testing.T) {
@@ -307,6 +327,7 @@ func TestCalibShape(t *testing.T) {
 	if !strings.Contains(r.Render(), "calibration") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0x4d4431c3a2a81c05)
 }
 
 func TestPlacementTable(t *testing.T) {
@@ -348,6 +369,7 @@ func TestLeaderAblation(t *testing.T) {
 	if !strings.Contains(r.Render(), "median") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0x4be022133896c380)
 }
 
 func TestCollabAblation(t *testing.T) {
@@ -366,4 +388,5 @@ func TestCollabAblation(t *testing.T) {
 	if !strings.Contains(r.Render(), "Sec IX") {
 		t.Fatal("render missing header")
 	}
+	pinRender(t, r.Render(), 0xf41b0e6255094ee3)
 }
