@@ -53,6 +53,12 @@ func run(args []string) error {
 		}
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
+	seedOr := func(def uint64) uint64 {
+		if *seed != 0 {
+			return *seed
+		}
+		return def
+	}
 
 	type step struct {
 		name string
@@ -69,9 +75,7 @@ func run(args []string) error {
 		}},
 		{"fig4", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultFig4Config()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			if *fast {
 				cfg.Duration = stopwatch.Seconds(8)
 			}
@@ -79,9 +83,7 @@ func run(args []string) error {
 		}},
 		{"fig5", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultFig5Config()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			if *fast {
 				cfg.Runs = 2
 				cfg.SizesKB = []int{1, 10, 100, 1000}
@@ -90,9 +92,7 @@ func run(args []string) error {
 		}},
 		{"fig6", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultFig6Config()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			if *fast {
 				cfg.LoadDuration = stopwatch.Seconds(2)
 			}
@@ -100,9 +100,7 @@ func run(args []string) error {
 		}},
 		{"fig7", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultFig7Config()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			return stopwatch.RunFig7(cfg)
 		}},
 		{"fig8", func() (interface{ Render() string }, error) {
@@ -117,9 +115,7 @@ func run(args []string) error {
 		}},
 		{"calib", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultCalibConfig()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			if *fast {
 				cfg.Duration = stopwatch.Seconds(5)
 				cfg.DeltaNsMS = []float64{2, 8, 16}
@@ -128,9 +124,7 @@ func run(args []string) error {
 		}},
 		{"collab", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultCollabConfig()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			if *fast {
 				cfg.Duration = stopwatch.Seconds(8)
 			}
@@ -138,9 +132,7 @@ func run(args []string) error {
 		}},
 		{"leader", func() (interface{ Render() string }, error) {
 			cfg := stopwatch.DefaultLeaderConfig()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
+			cfg.Seed = seedOr(cfg.Seed)
 			if *fast {
 				cfg.Duration = stopwatch.Seconds(8)
 			}

@@ -8,7 +8,7 @@
 //
 //	stopwatch-sim -scenario download -mode stopwatch -size 100 -transport tcp
 //	stopwatch-sim -scenario nfs -mode baseline -rate 100
-//	stopwatch-sim -scenario parsec -app dedup -mode stopwatch
+//	stopwatch-sim -scenario parsec -app dedup
 //	stopwatch-sim -scenario sidechannel -duration 20
 //	stopwatch-sim run scenarios/lifecycle.yaml
 //	stopwatch-sim run -seed 2 -shards 4 -listen 127.0.0.1:8080 scenarios/coresidency-probe.yaml
@@ -18,38 +18,39 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
-	"stopwatch"
 	"stopwatch/internal/apps"
 	"stopwatch/internal/core"
-	"stopwatch/internal/guest"
+	"stopwatch/internal/experiment"
 	"stopwatch/internal/scenario"
 	"stopwatch/internal/sim"
 	"stopwatch/internal/stats"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "stopwatch-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	if len(args) > 0 {
 		switch args[0] {
 		case "run":
-			return runScenarioFiles(args[1:], os.Stdout)
+			return runScenarioFiles(args[1:], out)
 		case "validate":
-			return validateScenarioFiles(args[1:], os.Stdout)
+			return validateScenarioFiles(args[1:], out)
 		}
 	}
 	fs := flag.NewFlagSet("stopwatch-sim", flag.ContinueOnError)
 	scenarioFlag := fs.String("scenario", "download", "download | nfs | parsec | sidechannel")
-	mode := fs.String("mode", "stopwatch", "stopwatch | baseline")
+	mode := fs.String("mode", "stopwatch", "stopwatch | baseline (download and nfs; parsec and sidechannel run both)")
 	sizeKB := fs.Int("size", 100, "download size in KB")
 	transportFlag := fs.String("transport", "tcp", "tcp | udp (download scenario)")
 	rate := fs.Float64("rate", 100, "NFS ops/s")
@@ -61,28 +62,35 @@ func run(args []string) error {
 		return err
 	}
 
-	var m core.Mode
+	cc := core.DefaultClusterConfig()
+	cc.Seed, cc.Shards = *seed, *shards
 	switch *mode {
 	case "stopwatch":
-		m = core.ModeStopWatch
+		cc.Mode = core.ModeStopWatch
 	case "baseline":
-		m = core.ModeBaseline
+		cc.Mode = core.ModeBaseline
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+	modeSet := false
+	fs.Visit(func(f *flag.Flag) { modeSet = modeSet || f.Name == "mode" })
 
 	if *shards < 1 {
 		return fmt.Errorf("shards must be >= 1, got %d", *shards)
 	}
 	switch *scenarioFlag {
 	case "download":
-		return runDownload(*seed, m, *sizeKB, *transportFlag, *shards)
+		return runDownload(out, cc, *sizeKB, *transportFlag)
 	case "nfs":
-		return runNFS(*seed, m, *rate, sim.FromSeconds(*duration), *shards)
-	case "parsec":
-		return runParsec(*seed, m, *app)
-	case "sidechannel":
-		return runSideChannel(*seed, sim.FromSeconds(*duration))
+		return runNFS(out, cc, *rate, sim.FromSeconds(*duration))
+	case "parsec", "sidechannel":
+		if modeSet {
+			return fmt.Errorf("-scenario %s always compares both hypervisors; drop -mode", *scenarioFlag)
+		}
+		if *scenarioFlag == "parsec" {
+			return runParsec(out, *seed, *app)
+		}
+		return runSideChannel(out, *seed, sim.FromSeconds(*duration))
 	case "lifecycle":
 		return fmt.Errorf("the lifecycle walkthrough is a scenario file now: stopwatch-sim run scenarios/lifecycle.yaml")
 	default:
@@ -124,7 +132,7 @@ func expandScenarioPaths(args []string) ([]string, error) {
 // runScenarioFiles executes scenario files under every declared seed (or
 // one -seed override), printing a per-run verdict and failing if any run
 // does.
-func runScenarioFiles(args []string, out *os.File) error {
+func runScenarioFiles(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stopwatch-sim run", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 0, "override the scenario's seeds (0 = run every declared seed)")
 	shards := fs.Int("shards", 0, "override the fleet's shard count (0 = the file's; digests are identical for every value)")
@@ -181,7 +189,7 @@ func runScenarioFiles(args []string, out *os.File) error {
 
 // validateScenarioFiles parses and statically checks scenario files
 // without running them.
-func validateScenarioFiles(args []string, out *os.File) error {
+func validateScenarioFiles(args []string, out io.Writer) error {
 	files, err := expandScenarioPaths(args)
 	if err != nil {
 		return err
@@ -205,21 +213,7 @@ func validateScenarioFiles(args []string, out *os.File) error {
 	return nil
 }
 
-func newCluster(seed uint64, mode core.Mode, shards int) (*core.Cluster, []int, error) {
-	cfg := core.DefaultClusterConfig()
-	cfg.Seed = seed
-	cfg.Mode = mode
-	cfg.Shards = shards
-	idx := []int{0, 1, 2}
-	if mode == core.ModeBaseline {
-		cfg.Hosts = 1
-		idx = []int{0}
-	}
-	c, err := core.New(cfg)
-	return c, idx, err
-}
-
-func runDownload(seed uint64, mode core.Mode, sizeKB int, transportFlag string, shards int) error {
+func runDownload(out io.Writer, cc core.ClusterConfig, sizeKB int, transportFlag string) error {
 	var fsMode apps.FileServerMode
 	switch transportFlag {
 	case "tcp":
@@ -229,143 +223,73 @@ func runDownload(seed uint64, mode core.Mode, sizeKB int, transportFlag string, 
 	default:
 		return fmt.Errorf("unknown transport %q", transportFlag)
 	}
-	c, idx, err := newCluster(seed, mode, shards)
+	r, err := experiment.RunFig5One(cc, sizeKB, fsMode, 600*sim.Second)
 	if err != nil {
 		return err
 	}
-	fsCfg := apps.DefaultFileServerConfig()
-	fsCfg.Mode = fsMode
-	g, err := c.Deploy("web", idx, func() guest.App {
-		srv, err := apps.NewFileServer(fsCfg)
-		if err != nil {
-			panic(err)
-		}
-		return srv
-	})
-	if err != nil {
-		return err
-	}
-	cl, err := c.NewClient("laptop")
-	if err != nil {
-		return err
-	}
-	c.Start()
-	dl := apps.NewDownloader(cl)
-	var lat sim.Time
-	c.Loop().At(20*sim.Millisecond, "fetch", func() {
-		_ = dl.Fetch(core.ServiceAddr("web"), fsMode, sizeKB<<10, func(l sim.Time) {
-			lat = l
-			c.Stop()
-		})
-	})
-	if err := c.Run(600 * sim.Second); err != nil {
-		return err
-	}
-	if lat == 0 {
-		return fmt.Errorf("download did not complete")
-	}
-	fmt.Printf("scenario:   %s download, %d KB over %s\n", mode, sizeKB, transportFlag)
-	fmt.Printf("latency:    %.2f ms\n", lat.Milliseconds())
-	fmt.Printf("client pkts: sent=%d received=%d\n", cl.PacketsSent(), cl.PacketsReceived())
-	if mode == core.ModeStopWatch {
-		fmt.Printf("lockstep:   %v\n", errString(g.CheckLockstep()))
-		fmt.Printf("divergences: %d\n", g.Divergences())
-		fmt.Printf("egress forwarded: %d packets\n", c.Egress().Forwarded())
+	fmt.Fprintf(out, "scenario:   %s download, %d KB over %s\n", cc.Mode, sizeKB, transportFlag)
+	fmt.Fprintf(out, "latency:    %.2f ms\n", r.MeanMS())
+	fmt.Fprintf(out, "client pkts: sent=%d received=%d\n", r.PacketsSent, r.PacketsReceived)
+	if cc.Mode == core.ModeStopWatch {
+		fmt.Fprintf(out, "lockstep:   %v\n", errString(r.Lockstep))
+		fmt.Fprintf(out, "divergences: %d\n", r.Divergences)
+		fmt.Fprintf(out, "egress forwarded: %d packets\n", r.EgressForwarded)
 	}
 	return nil
 }
 
-func runNFS(seed uint64, mode core.Mode, rate float64, dur sim.Time, shards int) error {
-	c, idx, err := newCluster(seed, mode, shards)
+func runNFS(out io.Writer, cc core.ClusterConfig, rate float64, dur sim.Time) error {
+	r, err := experiment.RunFig6One(cc, experiment.Fig6Config{Processes: 5, LoadDuration: dur, DrainDuration: 3 * sim.Second}, rate)
 	if err != nil {
 		return err
-	}
-	g, err := c.Deploy("nfs", idx, func() guest.App {
-		s, err := apps.NewNFSServer(16)
-		if err != nil {
-			panic(err)
-		}
-		return s
-	})
-	if err != nil {
-		return err
-	}
-	cl, err := c.NewClient("nfs-client")
-	if err != nil {
-		return err
-	}
-	c.Start()
-	gen, err := apps.NewNFSLoadGen(c.Loop(), c.Source().Stream("gen"), cl, core.ServiceAddr("nfs"),
-		apps.PaperMix(), apps.NFSLoadGenConfig{Processes: 5, RatePerSec: rate})
-	if err != nil {
-		return err
-	}
-	gen.Start(dur)
-	if err := c.Run(dur + 3*sim.Second); err != nil {
-		return err
-	}
-	lats := gen.Latencies()
-	if len(lats) == 0 {
-		return fmt.Errorf("no NFS ops completed")
 	}
 	var ms []float64
-	for _, l := range lats {
+	for _, l := range r.Latencies {
 		ms = append(ms, l.Milliseconds())
 	}
 	sum, err := stats.Summarize(ms)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario: %s NFS at %.0f ops/s for %s\n", mode, rate, dur)
-	fmt.Printf("ops:      issued=%d completed=%d\n", gen.Issued(), gen.Completed())
-	fmt.Printf("latency:  mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms\n", sum.Mean, sum.P50, sum.P95, sum.P99)
-	fmt.Printf("packets/op: c→s=%.2f s→c=%.2f\n",
-		float64(cl.PacketsSent())/float64(gen.Completed()),
-		float64(cl.PacketsReceived())/float64(gen.Completed()))
-	if mode == core.ModeStopWatch {
-		fmt.Printf("lockstep: %v\n", errString(g.CheckLockstep()))
+	fmt.Fprintf(out, "scenario: %s NFS at %.0f ops/s for %s\n", cc.Mode, rate, dur)
+	fmt.Fprintf(out, "ops:      issued=%d completed=%d\n", r.Issued, r.Completed)
+	fmt.Fprintf(out, "latency:  mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms\n", sum.Mean, sum.P50, sum.P95, sum.P99)
+	fmt.Fprintf(out, "packets/op: c→s=%.2f s→c=%.2f\n",
+		float64(r.PacketsSent)/float64(r.Completed), float64(r.PacketsReceived)/float64(r.Completed))
+	if cc.Mode == core.ModeStopWatch {
+		fmt.Fprintf(out, "lockstep: %v\n", errString(r.Lockstep))
 	}
 	return nil
 }
 
-func runParsec(seed uint64, mode core.Mode, name string) error {
-	var prof apps.ParsecProfile
-	found := false
-	for _, p := range apps.PaperParsecProfiles() {
-		if p.Name == name {
-			prof = p
-			found = true
-			break
-		}
-	}
-	if !found {
+func runParsec(out io.Writer, seed uint64, name string) error {
+	cfg := experiment.DefaultFig7Config()
+	i := slices.IndexFunc(cfg.Profiles, func(p apps.ParsecProfile) bool { return p.Name == name })
+	if i < 0 {
 		return fmt.Errorf("unknown parsec app %q", name)
 	}
-	cfg := stopwatch.DefaultFig7Config()
 	cfg.Seed = seed
-	cfg.Profiles = []apps.ParsecProfile{prof}
-	r, err := stopwatch.RunFig7(cfg)
+	cfg.Profiles = cfg.Profiles[i : i+1]
+	r, err := experiment.RunFig7(cfg)
 	if err != nil {
 		return err
 	}
 	p := r.Points[0]
-	fmt.Printf("scenario: parsec %s\n", name)
-	fmt.Printf("baseline:  %.0f ms (paper: %.0f ms)\n", p.Baseline, p.PaperBaseline)
-	fmt.Printf("stopwatch: %.0f ms (paper: %.0f ms)\n", p.StopWatch, p.PaperStopWatch)
-	fmt.Printf("ratio:     %.2fx; disk interrupts: %d\n", p.Ratio, p.DiskInterrupts)
-	_ = mode // both modes are run by the harness
+	fmt.Fprintf(out, "scenario: parsec %s\n", name)
+	fmt.Fprintf(out, "baseline:  %.0f ms (paper: %.0f ms)\n", p.Baseline, p.PaperBaseline)
+	fmt.Fprintf(out, "stopwatch: %.0f ms (paper: %.0f ms)\n", p.StopWatch, p.PaperStopWatch)
+	fmt.Fprintf(out, "ratio:     %.2fx; disk interrupts: %d\n", p.Ratio, p.DiskInterrupts)
 	return nil
 }
 
-func runSideChannel(seed uint64, dur sim.Time) error {
-	cfg := stopwatch.DefaultFig4Config()
-	cfg.Seed = seed
-	cfg.Duration = dur
-	r, err := stopwatch.RunFig4(cfg)
+func runSideChannel(out io.Writer, seed uint64, dur sim.Time) error {
+	cfg := experiment.DefaultFig4Config()
+	cfg.Seed, cfg.Duration = seed, dur
+	r, err := experiment.RunFig4(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println(r.Render())
+	fmt.Fprintln(out, r.Render())
 	return nil
 }
 

@@ -1,29 +1,52 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"stopwatch/internal/experiment"
 	"stopwatch/internal/scenario"
 )
 
 func TestRunDownloadBaseline(t *testing.T) {
-	if err := run([]string{"-scenario", "download", "-mode", "baseline", "-size", "10"}); err != nil {
+	if err := run([]string{"-scenario", "download", "-mode", "baseline", "-size", "10"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunDownloadStopWatchUDP(t *testing.T) {
-	if err := run([]string{"-scenario", "download", "-mode", "stopwatch", "-size", "10", "-transport", "udp"}); err != nil {
+	if err := run([]string{"-scenario", "download", "-mode", "stopwatch", "-size", "10", "-transport", "udp"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunNFS(t *testing.T) {
-	if err := run([]string{"-scenario", "nfs", "-mode", "baseline", "-rate", "50", "-duration", "1"}); err != nil {
+	if err := run([]string{"-scenario", "nfs", "-mode", "baseline", "-rate", "50", "-duration", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDownloadIsFig5Run: the download scenario is one Fig-5 run, so it
+// prints exactly the latency RunFig5 averages for the same seed and size.
+func TestDownloadIsFig5Run(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-scenario", "download", "-seed", "11", "-size", "10", "-transport", "tcp", "-mode", "stopwatch"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiment.DefaultFig5Config()
+	cfg.Seed, cfg.SizesKB, cfg.Runs = 11, []int{10}, 1
+	r, err := experiment.RunFig5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("latency:    %.2f ms\n", r.Points[0].HTTPStopWatch)
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("output lacks %q:\n%s", want, out.String())
 	}
 }
 
@@ -33,13 +56,15 @@ func TestRunRejectsUnknowns(t *testing.T) {
 		{"-mode", "bogus"},
 		{"-scenario", "download", "-transport", "bogus"},
 		{"-scenario", "parsec", "-app", "bogus"},
+		{"-scenario", "parsec", "-mode", "baseline"},       // runs both hypervisors
+		{"-scenario", "sidechannel", "-mode", "stopwatch"}, // runs both hypervisors
 		{"-nonflag"},
 		{"-scenario", "lifecycle"}, // retired: points at scenarios/lifecycle.yaml
 		{"run"},                    // no files
 		{"validate"},               // no files
 		{"run", "no-such-file.yaml"},
 	} {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("args %v should fail", args)
 		}
 	}
@@ -69,7 +94,7 @@ func corpusFiles(t *testing.T) []string {
 // TestValidateAllCorpus: every shipped scenario parses and passes every
 // static check, via the same subcommand CI uses.
 func TestValidateAllCorpus(t *testing.T) {
-	if err := run([]string{"validate", corpusDir}); err != nil {
+	if err := run([]string{"validate", corpusDir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,7 +104,7 @@ func TestValidateAllCorpus(t *testing.T) {
 // journals — runs end-to-end with every assertion green, through the run
 // subcommand.
 func TestRunLifecycle(t *testing.T) {
-	if err := run([]string{"run", "-q", filepath.Join(corpusDir, "lifecycle.yaml")}); err != nil {
+	if err := run([]string{"run", "-q", filepath.Join(corpusDir, "lifecycle.yaml")}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -88,10 +113,10 @@ func TestRunLifecycle(t *testing.T) {
 // disturbing the scenario (same digest pins, same assertions), and a
 // non-loopback address is refused up front.
 func TestRunLifecycleWithListen(t *testing.T) {
-	if err := run([]string{"run", "-q", "-listen", "127.0.0.1:0", filepath.Join(corpusDir, "lifecycle.yaml")}); err != nil {
+	if err := run([]string{"run", "-q", "-listen", "127.0.0.1:0", filepath.Join(corpusDir, "lifecycle.yaml")}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"run", "-q", "-listen", "0.0.0.0:0", filepath.Join(corpusDir, "lifecycle.yaml")}); err == nil {
+	if err := run([]string{"run", "-q", "-listen", "0.0.0.0:0", filepath.Join(corpusDir, "lifecycle.yaml")}, io.Discard); err == nil {
 		t.Fatal("non-loopback listen address accepted")
 	}
 }

@@ -97,8 +97,6 @@ func calibOne(cfg CalibConfig, deltaNMS float64) (CalibPoint, error) {
 	// match against replica-0 injections.
 	sentAt := make(map[uint64]sim.Time)
 	var latencies []sim.Time
-	base := c.Net()
-	_ = base
 	att.Replica(0).Runtime().OnNetDeliver = func(seq uint64, v vtime.Virtual, real sim.Time) {
 		if t0, ok := sentAt[seq]; ok {
 			latencies = append(latencies, real-t0)

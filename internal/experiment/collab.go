@@ -8,7 +8,6 @@ import (
 	"stopwatch/internal/core"
 	"stopwatch/internal/guest"
 	"stopwatch/internal/sim"
-	"stopwatch/internal/stats"
 	"stopwatch/internal/vmm"
 	"stopwatch/internal/vtime"
 )
@@ -79,24 +78,11 @@ func RunCollab(cfg CollabConfig) (*CollabResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s (no victim): %w", v.name, err)
 		}
-		eV, err := stats.NewECDF(withV)
+		ks, obs, err := leak(withV, withoutV, 10, []float64{0.95})
 		if err != nil {
 			return nil, err
 		}
-		eN, err := stats.NewECDF(withoutV)
-		if err != nil {
-			return nil, err
-		}
-		ks := stats.KSDistanceECDF(eV, eN)
-		bn := stats.Binning{}
-		for i := 1; i < 10; i++ {
-			bn.Edges = append(bn.Edges, eN.Quantile(float64(i)/10))
-		}
-		obs, err := stats.ObservationsToDetect(bn.CellProbs(eN.CDF), bn.CellProbs(eV.CDF), 0.95)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, CollabPoint{Name: v.name, KS: ks, Obs95: obs})
+		res.Points = append(res.Points, CollabPoint{Name: v.name, KS: ks, Obs95: obs[0]})
 	}
 	return res, nil
 }
@@ -123,18 +109,18 @@ func collabGaps(cfg CollabConfig, replicas int, marginalize, withVictim bool) ([
 	if err != nil {
 		return nil, err
 	}
-	// The victim and colluder are triplicated regardless of the attacker's
-	// replica count — deploy them on their own 3-host sets. With Replicas=5
-	// configured cluster-wide, deploy victim/colluder with 5... the cloud
-	// would size every guest equally; to keep the study focused the
-	// colluder and victim use beacon-style self-driving apps deployed on a
-	// separate 3-replica cluster config is not possible in one cluster, so
-	// they are deployed with the cluster's replica count on distinct hosts
-	// when replicas==3, and as host-local load (baseline-style beacons
-	// attached directly to hosts) when replicas==5.
+	// A cluster gives every guest its replica count, so to keep the victim
+	// and colluder from growing to 5 replicas the 5-replica variant models
+	// them as host-local baseline load.
 	if withVictim {
 		if replicas == 3 {
-			if _, err := c.Deploy("victim", []int{2, 5, 6}, victimFactory(cfg)); err != nil {
+			if _, err := c.Deploy("victim", []int{2, 5, 6}, func() guest.App {
+				b := apps.NewBeaconApp(vtime.Virtual(8 * sim.Millisecond))
+				b.Compute = 4_000_000
+				b.DiskBytes = cfg.VictimFileKB << 10
+				b.Sink = "victim-sink"
+				return b
+			}); err != nil {
 				return nil, err
 			}
 		} else {
@@ -176,16 +162,6 @@ func collabGaps(cfg CollabConfig, replicas int, marginalize, withVictim bool) ([
 		return nil, fmt.Errorf("%w: only %d gaps observed", core.ErrCluster, len(gaps))
 	}
 	return gaps, nil
-}
-
-func victimFactory(cfg CollabConfig) func() guest.App {
-	return func() guest.App {
-		b := apps.NewBeaconApp(vtime.Virtual(8 * sim.Millisecond))
-		b.Compute = 4_000_000
-		b.DiskBytes = cfg.VictimFileKB << 10
-		b.Sink = "victim-sink"
-		return b
-	}
 }
 
 // attachLocalLoad puts a baseline-style load guest directly on one host

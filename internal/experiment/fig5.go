@@ -56,18 +56,26 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	res := &Fig5Result{Config: cfg}
 	for _, kb := range cfg.SizesKB {
 		p := Fig5Point{SizeKB: kb}
-		var err error
-		if p.HTTPBaseline, err = fig5Mean(cfg, kb, apps.ModeTCP, core.ModeBaseline); err != nil {
-			return nil, err
-		}
-		if p.HTTPStopWatch, err = fig5Mean(cfg, kb, apps.ModeTCP, core.ModeStopWatch); err != nil {
-			return nil, err
-		}
-		if p.UDPBaseline, err = fig5Mean(cfg, kb, apps.ModeUDP, core.ModeBaseline); err != nil {
-			return nil, err
-		}
-		if p.UDPStopWatch, err = fig5Mean(cfg, kb, apps.ModeUDP, core.ModeStopWatch); err != nil {
-			return nil, err
+		for _, m := range []struct {
+			mean *float64
+			fs   apps.FileServerMode
+			vmm  core.Mode
+		}{
+			{&p.HTTPBaseline, apps.ModeTCP, core.ModeBaseline},
+			{&p.HTTPStopWatch, apps.ModeTCP, core.ModeStopWatch},
+			{&p.UDPBaseline, apps.ModeUDP, core.ModeBaseline},
+			{&p.UDPStopWatch, apps.ModeUDP, core.ModeStopWatch},
+		} {
+			for run := 0; run < cfg.Runs; run++ {
+				cc := core.DefaultClusterConfig()
+				cc.Seed, cc.Mode = cfg.Seed+uint64(run)*1337, m.vmm
+				r, err := RunFig5One(cc, kb, m.fs, cfg.Timeout)
+				if err != nil {
+					return nil, err
+				}
+				*m.mean += r.MeanMS()
+			}
+			*m.mean /= float64(cfg.Runs)
 		}
 		p.HTTPRatio = p.HTTPStopWatch / p.HTTPBaseline
 		p.UDPRatio = p.UDPStopWatch / p.UDPBaseline
@@ -76,45 +84,24 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	return res, nil
 }
 
-func fig5Mean(cfg Fig5Config, kb int, mode apps.FileServerMode, vmmMode core.Mode) (float64, error) {
-	var sum float64
-	for run := 0; run < cfg.Runs; run++ {
-		lat, err := fig5One(cfg.Seed+uint64(run)*1337, kb, mode, vmmMode, cfg.Timeout)
-		if err != nil {
-			return 0, err
-		}
-		sum += lat.Milliseconds()
-	}
-	return sum / float64(cfg.Runs), nil
-}
-
-func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, timeout sim.Time) (sim.Time, error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = seed
-	cc.Mode = vmmMode
-	hostIdx := []int{0, 1, 2}
-	if vmmMode == core.ModeBaseline {
-		cc.Hosts = 1
-		hostIdx = []int{0}
-	}
+// RunFig5One is one Fig-5 download: a client fetches a kb-KB file over
+// mode from a fresh cluster built from cc, whose file server is replicated
+// on hosts 0-2 under StopWatch.
+func RunFig5One(cc core.ClusterConfig, kb int, mode apps.FileServerMode, timeout sim.Time) (*OneRun, error) {
+	hosts := onHosts(&cc, []int{0, 1, 2})
 	c, err := core.New(cc)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	fsCfg := apps.DefaultFileServerConfig()
 	fsCfg.Mode = mode
-	if _, err := c.Deploy("web", hostIdx, func() guest.App {
-		fs, ferr := apps.NewFileServer(fsCfg)
-		if ferr != nil {
-			panic(ferr)
-		}
-		return fs
-	}); err != nil {
-		return 0, err
+	g, err := c.Deploy("web", hosts, func() guest.App { return must(apps.NewFileServer(fsCfg)) })
+	if err != nil {
+		return nil, err
 	}
 	cl, err := c.NewClient("laptop")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	c.Start()
 	dl := apps.NewDownloader(cl)
@@ -127,12 +114,12 @@ func fig5One(seed uint64, kb int, mode apps.FileServerMode, vmmMode core.Mode, t
 		})
 	})
 	if err := c.Run(timeout); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if lat == 0 {
-		return 0, fmt.Errorf("%w: %dKB %v/%v download did not complete", core.ErrCluster, kb, mode, vmmMode)
+		return nil, fmt.Errorf("%w: %dKB %v/%v download did not complete", core.ErrCluster, kb, mode, cc.Mode)
 	}
-	return lat, nil
+	return newOneRun(c, g, cl, []sim.Time{lat}), nil
 }
 
 // Render prints the Fig-5 table.

@@ -59,57 +59,52 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	}
 	res := &Fig6Result{Config: cfg}
 	for _, rate := range cfg.Rates {
-		base, _, _, _, err := fig6One(cfg, rate, core.ModeBaseline)
+		cc := core.DefaultClusterConfig()
+		cc.Seed, cc.Mode = cfg.Seed+uint64(rate*10), core.ModeBaseline
+		base, err := RunFig6One(cc, cfg, rate)
 		if err != nil {
 			return nil, err
 		}
-		sw, c2s, s2c, ops, err := fig6One(cfg, rate, core.ModeStopWatch)
+		cc.Mode = core.ModeStopWatch
+		sw, err := RunFig6One(cc, cfg, rate)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, Fig6Point{
 			Rate:                rate,
-			LatencyBaseline:     base,
-			LatencyStopWatch:    sw,
-			Ratio:               sw / base,
-			ClientToServerPerOp: c2s,
-			ServerToClientPerOp: s2c,
-			OpsCompleted:        ops,
+			LatencyBaseline:     base.MeanMS(),
+			LatencyStopWatch:    sw.MeanMS(),
+			Ratio:               sw.MeanMS() / base.MeanMS(),
+			ClientToServerPerOp: float64(sw.PacketsSent) / float64(sw.Completed),
+			ServerToClientPerOp: float64(sw.PacketsReceived) / float64(sw.Completed),
+			OpsCompleted:        sw.Completed,
 		})
 	}
 	return res, nil
 }
 
-func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (meanMS, c2sPerOp, s2cPerOp float64, ops uint64, err error) {
-	cc := core.DefaultClusterConfig()
-	cc.Seed = cfg.Seed + uint64(rate*10)
-	cc.Mode = mode
+// RunFig6One is one Fig-6 point: cfg.Processes NFS client processes offer
+// rate ops/s for cfg.LoadDuration, then drain for cfg.DrainDuration,
+// against a fresh cluster built from cc (cfg's Seed and Rates are not
+// read), whose NFS server is replicated on hosts 0-2 under StopWatch.
+func RunFig6One(cc core.ClusterConfig, cfg Fig6Config, rate float64) (*OneRun, error) {
 	// Warm-server disk regime: the paper's NFS server sustained 400 ops/s
 	// at ~15 ms latency, which a 4 ms-seek cold disk cannot (too few IOPS);
 	// its working set was clearly cached. Mean service ≈ 1.4 ms.
 	cc.VMM.DiskSeek = sim.Millisecond
 	cc.VMM.DiskJitterMean = 300 * sim.Microsecond
-	hostIdx := []int{0, 1, 2}
-	if mode == core.ModeBaseline {
-		cc.Hosts = 1
-		hostIdx = []int{0}
-	}
+	hosts := onHosts(&cc, []int{0, 1, 2})
 	c, err := core.New(cc)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
-	if _, err := c.Deploy("nfs", hostIdx, func() guest.App {
-		s, serr := apps.NewNFSServer(16)
-		if serr != nil {
-			panic(serr)
-		}
-		return s
-	}); err != nil {
-		return 0, 0, 0, 0, err
+	g, err := c.Deploy("nfs", hosts, func() guest.App { return must(apps.NewNFSServer(16)) })
+	if err != nil {
+		return nil, err
 	}
 	cl, err := c.NewClient("nfs-client")
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
 	c.Start()
 	gen, err := apps.NewNFSLoadGen(c.Loop(), c.Source().Stream("nfsgen"), cl, core.ServiceAddr("nfs"), apps.PaperMix(), apps.NFSLoadGenConfig{
@@ -117,25 +112,19 @@ func fig6One(cfg Fig6Config, rate float64, mode core.Mode) (meanMS, c2sPerOp, s2
 		RatePerSec: rate,
 	})
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
 	gen.Start(cfg.LoadDuration)
 	if err := c.Run(cfg.LoadDuration + cfg.DrainDuration); err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
 	lats := gen.Latencies()
 	if len(lats) == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: no NFS ops completed at rate %v under %v", core.ErrCluster, rate, mode)
+		return nil, fmt.Errorf("%w: no NFS ops completed at rate %v under %v", core.ErrCluster, rate, cc.Mode)
 	}
-	var sum sim.Time
-	for _, l := range lats {
-		sum += l
-	}
-	meanMS = (sum / sim.Time(len(lats))).Milliseconds()
-	ops = gen.Completed()
-	c2sPerOp = float64(cl.PacketsSent()) / float64(ops)
-	s2cPerOp = float64(cl.PacketsReceived()) / float64(ops)
-	return meanMS, c2sPerOp, s2cPerOp, ops, nil
+	r := newOneRun(c, g, cl, lats)
+	r.Issued, r.Completed = gen.Issued(), gen.Completed()
+	return r, nil
 }
 
 // Render prints the Fig-6 table.

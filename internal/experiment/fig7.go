@@ -30,20 +30,6 @@ func DefaultFig7Config() Fig7Config {
 	}
 }
 
-// fig7VMMConfig returns the disk regime calibrated for the PARSEC runs:
-// mean disk service ≈ 1.7 ms (fast rotational access with cache effects),
-// Δd = 8 ms, per the calibration notes in DESIGN.md.
-func fig7VMMConfig() ClusterVMMPatch {
-	return func(cc *core.ClusterConfig) {
-		cc.VMM.DiskSeek = sim.Millisecond
-		cc.VMM.DiskJitterMean = 500 * sim.Microsecond
-		cc.VMM.DeltaD = vtime.Virtual(8 * sim.Millisecond)
-	}
-}
-
-// ClusterVMMPatch mutates a cluster config before use.
-type ClusterVMMPatch func(*core.ClusterConfig)
-
 // Fig7Point is one application's row.
 type Fig7Point struct {
 	Name string
@@ -92,14 +78,13 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 
 func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (sim.Time, int64, error) {
 	cc := core.DefaultClusterConfig()
-	cc.Seed = cfg.Seed
-	cc.Mode = mode
-	fig7VMMConfig()(&cc)
-	hostIdx := []int{0, 1, 2}
-	if mode == core.ModeBaseline {
-		cc.Hosts = 1
-		hostIdx = []int{0}
-	}
+	cc.Seed, cc.Mode = cfg.Seed, mode
+	// The disk regime calibrated for the PARSEC runs: mean disk service
+	// ≈ 1.7 ms (fast rotational access with cache effects), Δd = 8 ms.
+	cc.VMM.DiskSeek = sim.Millisecond
+	cc.VMM.DiskJitterMean = 500 * sim.Microsecond
+	cc.VMM.DeltaD = vtime.Virtual(8 * sim.Millisecond)
+	hosts := onHosts(&cc, []int{0, 1, 2})
 	c, err := core.New(cc)
 	if err != nil {
 		return 0, 0, err
@@ -113,13 +98,7 @@ func fig7One(cfg Fig7Config, prof apps.ParsecProfile, mode core.Mode) (sim.Time,
 	}}); err != nil {
 		return 0, 0, err
 	}
-	g, err := c.Deploy("parsec", hostIdx, func() guest.App {
-		a, aerr := apps.NewParsecApp(prof, "collector")
-		if aerr != nil {
-			panic(aerr)
-		}
-		return a
-	})
+	g, err := c.Deploy("parsec", hosts, func() guest.App { return must(apps.NewParsecApp(prof, "collector")) })
 	if err != nil {
 		return 0, 0, err
 	}
